@@ -8,7 +8,7 @@ weight, an exponent, and a domain.
 from podium import (
     Domain,
     QuadExp,
-    WeightKind,
+    ceil_half,
     named_theta,
     pochhammer,
     theta_series,
@@ -41,15 +41,17 @@ print("\npentagonal and cube expansions match their Pochhammer products.")
 # A two-sided sum can be folded onto the non-negative integers: the
 # hexagonal-exponent sum re-indexes over triangular numbers with
 # ceiling-of-half signs.
-two_sided = theta_series(Domain.ALL_INTEGERS, WeightKind.ALT, QuadExp(2, 1), 100)
+two_sided = theta_series(
+    Domain.ALL_INTEGERS, lambda n: -1 if n % 2 else 1, QuadExp(2, 1), 100
+)
 folded = theta_series(
-    Domain.NON_NEGATIVE, WeightKind.ALT_CEIL_HALF, QuadExp(1, 1, 0, 2), 100
+    Domain.NON_NEGATIVE, lambda n: -1 if ceil_half(n) % 2 else 1, QuadExp(1, 1, 0, 2), 100
 )
 assert two_sided == folded
 print("two-sided hexagonal sum equals its triangular reindexing.")
 
 # Custom sums take any integer-valued quadratic; the divisibility of the
-# rational form is checked up front.  Weights may be plain callables.
+# rational form is checked up front.  Weights are plain callables.
 squares_weighted = theta_series(
     Domain.NON_NEGATIVE, lambda n: 2 * n + 1, QuadExp(1, 0), 30
 )

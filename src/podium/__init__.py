@@ -5,11 +5,12 @@ integers, with no rounding anywhere.  It provides:
 
 - :mod:`podium.series`: the exact series ring (Cauchy products, inverses,
   substitutions, Pochhammer products);
-- :mod:`podium.theta`: theta-type sums with quadratic exponents and the
-  classical specializations;
+- :mod:`podium.theta`: the evaluator of theta-type sums;
 - :mod:`podium.partitions`: sixteen partition-counting functions, each
-  with a product-form series and an independent enumeration oracle;
-- :mod:`podium.dsl`: a small expression language so identities are data;
+  with a product form (identity-language text) and an independent
+  enumeration oracle;
+- :mod:`podium.dsl`: a small expression language so identities are data,
+  and the one path from text to a series (named theta sums included);
 - :mod:`podium.manifest`: a bundled manifest of classical identities and
   the runners that verify it;
 - :mod:`podium.cli`: the `podium` command.
@@ -20,11 +21,8 @@ from .theta import (
     Domain,
     DivergenceError,
     QuadExp,
-    ThetaSpec,
-    WeightKind,
     ceil_half,
     gpent,
-    named_theta,
     theta_series,
     triangular,
 )
@@ -37,7 +35,7 @@ from .partitions import (
     gf_series,
     table,
 )
-from .dsl import EvalError, ParseError, check, evaluate, expand, parse, pretty
+from .dsl import EvalError, ParseError, check, evaluate, expand, named_theta, parse, pretty
 from .manifest import (
     IdentityRecord,
     ManifestError,
@@ -68,8 +66,6 @@ __all__ = [
     "Series",
     "SuiteEntry",
     "SuiteReport",
-    "ThetaSpec",
-    "WeightKind",
     "bundled_manifest",
     "ceil_half",
     "check",

@@ -41,16 +41,15 @@ def nonneg_int(text: str) -> int:
 
 
 def default_order() -> int:
+    """PODIUM_ORDER if set, else FALLBACK_ORDER; a bad value is a usage error."""
     env = os.environ.get("PODIUM_ORDER")
     if env is None:
         return FALLBACK_ORDER
     try:
-        value = int(env)
-    except ValueError:
-        raise SystemExit(f"podium: PODIUM_ORDER={env!r} is not an integer")
-    if value < 0:
-        raise SystemExit(f"podium: PODIUM_ORDER must be >= 0, got {value}")
-    return value
+        return nonneg_int(env)
+    except argparse.ArgumentTypeError as exc:
+        print(f"podium: PODIUM_ORDER={env!r}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _emit(text: str, out_path: Optional[str]):

@@ -21,6 +21,14 @@ Grammar (whitespace-insensitive)::
 exact integer division and errors on any remainder, and "ceil2" is the
 mathematical ceiling of half.  Parse errors carry the byte offset of the
 offending token and the set of tokens that would have been accepted.
+
+Text is untrusted, so a tree deeper than MAX_DEPTH levels is a parse
+error: each operator, "^", unary minus, bracket, "subst", "theta", "ceil2"
+and "(-1)^" adds one.  That keeps the parser, evaluator and printer, which
+all recurse, inside Python's default recursion limit.
+
+This is the one path from text to a Series: the counting functions'
+product forms and the named theta sums are text evaluated here.
 """
 
 from __future__ import annotations
@@ -28,9 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from .partitions import FunctionId, gf_series
+from . import partitions  # read at call time: partitions imports this module
 from .series import Mismatch, Series, constant, equal_upto, pochhammer, q_power
 from .theta import Domain, ceil_half, theta_series
+
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -72,7 +82,7 @@ class Poch:
 
 @dataclass(frozen=True)
 class GfRef:
-    fid: FunctionId
+    fid: partitions.FunctionId
 
 
 @dataclass(frozen=True)
@@ -172,8 +182,6 @@ class Theta:
 IExpr = Union[IInt, IVar, IAdd, ISub, IMul, IDiv, ICeil2, ISignPow]
 Expr = Union[IntLit, QPow, Poch, GfRef, Subst, Add, Sub, Mul, Div, Pow, Neg, Theta]
 
-_ATOMS = (IntLit, QPow, Poch, GfRef, Subst, Theta)
-
 
 # ----------------------------------------------------------------------
 # lexer
@@ -226,9 +234,30 @@ def tokenize(text: str) -> list:
 # ----------------------------------------------------------------------
 
 class _Parser:
+    # `height` is the height of the tree the last parse_* call returned
+    # (leaves 0); `nesting` counts the levels still open, so deep text is
+    # refused on the way down, before the parser's own recursion is deep.
+
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.nesting = 0
+        self.height = 0
+
+    def deeper(self, tok: Token, *levels: int) -> int:
+        """One above the highest of `levels`; past MAX_DEPTH is an error at `tok`."""
+        level = max(levels) + 1
+        if level > MAX_DEPTH:
+            raise ParseError(f"expression deeper than {MAX_DEPTH} levels", tok.offset)
+        return level
+
+    def nested(self, tok: Token, parse):
+        """Run `parse` one level inside the construct opened at `tok`."""
+        self.nesting = self.deeper(tok, self.nesting)
+        node = parse()
+        self.nesting -= 1
+        self.height = self.deeper(tok, self.height)
+        return node
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -281,23 +310,25 @@ class _Parser:
     def parse_expr(self) -> Expr:
         node = self.parse_term()
         while self.at_sym("+", "-"):
-            op = self.advance().text
+            left, op = self.height, self.advance()
             rhs = self.parse_term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+            self.height = self.deeper(op, left, self.height)
+            node = Add(node, rhs) if op.text == "+" else Sub(node, rhs)
         return node
 
     def parse_term(self) -> Expr:
         node = self.parse_factor()
         while self.at_sym("*", "/"):
-            op = self.advance().text
+            left, op = self.height, self.advance()
             rhs = self.parse_factor()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+            self.height = self.deeper(op, left, self.height)
+            node = Mul(node, rhs) if op.text == "*" else Div(node, rhs)
         return node
 
     def parse_factor(self) -> Expr:
         node = self.parse_base()
         if self.at_sym("^"):
-            self.advance()
+            self.height = self.deeper(self.advance(), self.height)
             negative = False
             if self.at_sym("-"):
                 self.advance()
@@ -308,14 +339,13 @@ class _Parser:
 
     def parse_base(self) -> Expr:
         tok = self.peek()
+        self.height = 0
         if tok.kind == "int":
             return IntLit(self.expect_int())
         if self.at_sym("-"):
-            self.advance()
-            return Neg(self.parse_base())
+            return Neg(self.nested(self.advance(), self.parse_base))
         if self.at_sym("("):
-            self.advance()
-            node = self.parse_expr()
+            node = self.nested(self.advance(), self.parse_expr)
             self.expect_sym(")")
             return node
         if self.at_name("q"):
@@ -350,9 +380,9 @@ class _Parser:
         if tok.kind != "name":
             self.fail(("function name",))
         try:
-            fid = FunctionId.from_name(tok.text)
+            fid = partitions.FunctionId.from_name(tok.text)
         except ValueError:
-            known = ", ".join(f.value for f in FunctionId)
+            known = ", ".join(f.value for f in partitions.FunctionId)
             raise ParseError(
                 f"unknown gf name {tok.text!r}", tok.offset, (known,)
             ) from None
@@ -361,9 +391,9 @@ class _Parser:
         return GfRef(fid)
 
     def parse_subst(self) -> Expr:
-        self.expect_name("subst")
+        tok = self.expect_name("subst")
         self.expect_sym("(")
-        child = self.parse_expr()
+        child = self.nested(tok, self.parse_expr)
         self.expect_sym(",")
         sign = 1
         if self.at_sym("-"):
@@ -374,26 +404,23 @@ class _Parser:
         return Subst(child, k, sign)
 
     def parse_theta(self) -> Expr:
-        self.expect_name("theta")
+        theta = self.expect_name("theta")
         self.expect_sym("{")
         tok = self.peek()
         if tok.kind != "name":
             self.fail(("variable name",))
         var = self.advance().text
         self.expect_name("in")
-        dom_tok = self.peek()
-        if self.at_name("Z"):
-            domain = Domain.ALL_INTEGERS
-        elif self.at_name("N"):
-            domain = Domain.NON_NEGATIVE
-        else:
+        if not self.at_name("Z", "N"):
             self.fail(("'Z'", "'N'"))
-        self.advance()
+        domain = Domain(self.advance().text)
         self.expect_sym("}")
         self.expect_sym("(")
-        weight = self.parse_iexpr(var)
+        weight = self.nested(theta, lambda: self.parse_iexpr(var))
+        weight_height = self.height
         self.expect_sym(";")
-        exponent = self.parse_iexpr(var)
+        exponent = self.nested(theta, lambda: self.parse_iexpr(var))
+        self.height = max(weight_height, self.height)
         self.expect_sym(")")
         return Theta(domain, var, weight, exponent)
 
@@ -402,31 +429,35 @@ class _Parser:
     def parse_iexpr(self, var: str) -> IExpr:
         node = self.parse_iterm(var)
         while self.at_sym("+", "-"):
-            op = self.advance().text
+            left, op = self.height, self.advance()
             rhs = self.parse_iterm(var)
-            node = IAdd(node, rhs) if op == "+" else ISub(node, rhs)
+            self.height = self.deeper(op, left, self.height)
+            node = IAdd(node, rhs) if op.text == "+" else ISub(node, rhs)
         return node
 
     def parse_iterm(self, var: str) -> IExpr:
         node = self.parse_ifact(var)
         while True:
+            left = self.height
             if self.at_sym("*"):
-                self.advance()
+                op = self.advance()
                 node = IMul(node, self.parse_ifact(var))
+                self.height = self.deeper(op, left, self.height)
             elif self.at_name("div"):
-                self.advance()
+                self.height = self.deeper(self.advance(), left)
                 node = IDiv(node, self.expect_int(1))
             else:
                 return node
 
     def parse_ifact(self, var: str) -> IExpr:
         tok = self.peek()
+        self.height = 0
         if tok.kind == "int":
             return IInt(self.expect_int())
         if self.at_name("ceil2"):
             self.advance()
             self.expect_sym("(")
-            node = self.parse_iexpr(var)
+            node = self.nested(tok, lambda: self.parse_iexpr(var))
             self.expect_sym(")")
             return ICeil2(node)
         if tok.kind == "name":
@@ -448,10 +479,10 @@ class _Parser:
                 self.expect_sym(")")
                 self.expect_sym("^")
                 self.expect_sym("(")
-                node = self.parse_iexpr(var)
+                node = self.nested(tok, lambda: self.parse_iexpr(var))
                 self.expect_sym(")")
                 return ISignPow(node)
-            node = self.parse_iexpr(var)
+            node = self.nested(tok, lambda: self.parse_iexpr(var))
             self.expect_sym(")")
             return node
         self.fail(("integer", "variable", "'ceil2'", "'(-1)'", "'('"))
@@ -508,7 +539,7 @@ def evaluate(node: Expr, order: int) -> Series:
     if isinstance(node, Poch):
         return pochhammer(node.sign, node.a, node.b, order)
     if isinstance(node, GfRef):
-        return gf_series(node.fid, order)
+        return partitions.gf_series(node.fid, order)
     if isinstance(node, Subst):
         return evaluate(node.child, order).substitute(node.k, node.sign)
     if isinstance(node, Add):
@@ -518,6 +549,9 @@ def evaluate(node: Expr, order: int) -> Series:
     if isinstance(node, Mul):
         return evaluate(node.left, order) * evaluate(node.right, order)
     if isinstance(node, Div):
+        # 1 / x is x's inverse alone, with no product by the constant 1
+        if node.left == IntLit(1):
+            return evaluate(node.right, order).inverse()
         return evaluate(node.left, order) * evaluate(node.right, order).inverse()
     if isinstance(node, Pow):
         return evaluate(node.child, order).power(node.exponent)
@@ -538,6 +572,35 @@ def evaluate(node: Expr, order: int) -> Series:
 def expand(text: str, order: int) -> Series:
     """Parse and evaluate in one step."""
     return evaluate(parse(text), order)
+
+
+# The classical theta specializations.  phi and psi are the two standard
+# theta functions; the pentagonal and Jacobi sums expand (q;q)_oo and its
+# cube; the 6n+1 / 3n+1 sums are the Ramanujan product expansions;
+# baruah_pent is the unsigned pentagonal sum; e1_series is the
+# triple-product specialization sum (-1)^n q^{2n^2+n}.
+NAMED_THETA = {
+    "phi": "theta{n in Z}(1; n*n)",
+    "psi": "theta{n in N}(1; (n*(n+1)) div 2)",
+    "phi_neg": "theta{n in Z}((-1)^(n); n*n)",
+    "psi_neg": "theta{n in N}((-1)^((n*(n+1)) div 2); (n*(n+1)) div 2)",
+    "euler_pentagonal": "theta{n in Z}((-1)^(n); (n*(3*n+1)) div 2)",
+    "jacobi_cube": "theta{n in N}((2*n+1)*(-1)^(n); (n*(n+1)) div 2)",
+    "ram_6n1": "theta{n in Z}(6*n+1; (n*(3*n+1)) div 2)",
+    "ram_3n1": "theta{n in Z}(3*n+1; 3*n*n+2*n)",
+    "baruah_pent": "theta{n in Z}(1; (n*(3*n+1)) div 2)",
+    "e1_series": "theta{n in Z}((-1)^(n); 2*n*n+n)",
+}
+
+
+def named_theta(name: str, order: int) -> Series:
+    """Expand one of the named theta sums; unknown names are an error."""
+    try:
+        text = NAMED_THETA[name]
+    except KeyError:
+        known = ", ".join(sorted(NAMED_THETA))
+        raise ValueError(f"unknown theta series {name!r}; known: {known}") from None
+    return expand(text, order)
 
 
 def check(

@@ -1,10 +1,13 @@
-"""Theta-type sums with quadratic exponents, and the classical specializations.
+"""Theta-type sums: the one evaluator behind every theta{...} expression.
 
 A theta-type sum here is sum_n w(n) * q^{e(n)} taken over the integers or
 the non-negative integers, where e is an integer-valued quadratic and w an
-integer weight.  The summation window is found by scanning outward from
-n = 0; the scan stops once the exponent has climbed past the truncation
-order, and aborts if it never does.
+integer weight, both plain callables.  The summation window is found by
+scanning outward from n = 0; the scan stops once the exponent has climbed
+past the truncation order, and aborts if it never does.
+
+The classical specializations (phi, psi, ...) are identity-language text
+in :data:`podium.dsl.NAMED_THETA`.
 
 Also home to the triangular and generalized pentagonal number helpers that
 index most of those sums.
@@ -55,37 +58,6 @@ class Domain(enum.Enum):
     NON_NEGATIVE = "N"
 
 
-class WeightKind(enum.Enum):
-    """The weight patterns that occur in the classical sums.
-
-    Anything else can be supplied to :func:`theta_series` as a plain
-    callable from int to int (the expression language does exactly that).
-    """
-
-    ONE = "one"
-    ALT = "alt"                      # (-1)^n
-    ALT_CEIL_HALF = "alt_ceil_half"  # (-1)^ceil(n/2)
-    ALT_TRIANGULAR = "alt_tri"       # (-1)^(n(n+1)/2)
-    JACOBI = "jacobi"                # (2n+1)(-1)^n
-    LINEAR_6N1 = "lin6"              # 6n+1
-    LINEAR_3N1 = "lin3"              # 3n+1
-
-    def evaluate(self, n: int) -> int:
-        if self is WeightKind.ONE:
-            return 1
-        if self is WeightKind.ALT:
-            return -1 if n % 2 else 1
-        if self is WeightKind.ALT_CEIL_HALF:
-            return -1 if ceil_half(n) % 2 else 1
-        if self is WeightKind.ALT_TRIANGULAR:
-            return -1 if (n * (n + 1) // 2) % 2 else 1
-        if self is WeightKind.JACOBI:
-            return (2 * n + 1) * (-1 if n % 2 else 1)
-        if self is WeightKind.LINEAR_6N1:
-            return 6 * n + 1
-        return 3 * n + 1
-
-
 @dataclass(frozen=True)
 class QuadExp:
     """Exponent e(n) = (a*n^2 + b*n + c) / d, exactly integer-valued.
@@ -117,7 +89,6 @@ class QuadExp:
 
 
 ExponentFn = Union[QuadExp, Callable[[int], int]]
-WeightFn = Union[WeightKind, Callable[[int], int]]
 
 
 def _accumulate(coeffs, weight, exponent, order, start, step):
@@ -146,111 +117,13 @@ def _accumulate(coeffs, weight, exponent, order, start, step):
 
 
 def theta_series(
-    domain: Domain, weight: WeightFn, exponent: ExponentFn, order: int
+    domain: Domain, weight: Callable[[int], int], exponent: ExponentFn, order: int
 ) -> Series:
     """Build sum_{n in domain} w(n) q^{e(n)} truncated at `order`."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    wfn = weight.evaluate if isinstance(weight, WeightKind) else weight
     coeffs = [0] * (order + 1)
-    _accumulate(coeffs, wfn, exponent, order, 0, +1)
+    _accumulate(coeffs, weight, exponent, order, 0, +1)
     if domain is Domain.ALL_INTEGERS:
-        _accumulate(coeffs, wfn, exponent, order, -1, -1)
+        _accumulate(coeffs, weight, exponent, order, -1, -1)
     return Series(coeffs)
-
-
-@dataclass(frozen=True)
-class ThetaSpec:
-    """A (domain, weight, exponent) triple naming one theta-type sum."""
-
-    domain: Domain
-    weight: WeightKind
-    exponent: QuadExp
-
-    def build(self, order: int) -> Series:
-        return theta_series(self.domain, self.weight, self.exponent, order)
-
-
-# The classical specializations.  phi and psi are the two standard theta
-# functions; the pentagonal and Jacobi sums expand (q;q)_oo and its cube;
-# the 6n+1 / 3n+1 sums are the Ramanujan product expansions; baruah_pent
-# is the unsigned pentagonal sum; e1_series is the triple-product
-# specialization sum (-1)^n q^{2n^2+n}.
-NAMED_SPECS = {
-    "phi": ThetaSpec(Domain.ALL_INTEGERS, WeightKind.ONE, QuadExp(1, 0)),
-    "psi": ThetaSpec(Domain.NON_NEGATIVE, WeightKind.ONE, QuadExp(1, 1, 0, 2)),
-    "phi_neg": ThetaSpec(Domain.ALL_INTEGERS, WeightKind.ALT, QuadExp(1, 0)),
-    "psi_neg": ThetaSpec(
-        Domain.NON_NEGATIVE, WeightKind.ALT_TRIANGULAR, QuadExp(1, 1, 0, 2)
-    ),
-    "euler_pentagonal": ThetaSpec(
-        Domain.ALL_INTEGERS, WeightKind.ALT, QuadExp(3, 1, 0, 2)
-    ),
-    "jacobi_cube": ThetaSpec(
-        Domain.NON_NEGATIVE, WeightKind.JACOBI, QuadExp(1, 1, 0, 2)
-    ),
-    "ram_6n1": ThetaSpec(Domain.ALL_INTEGERS, WeightKind.LINEAR_6N1, QuadExp(3, 1, 0, 2)),
-    "ram_3n1": ThetaSpec(Domain.ALL_INTEGERS, WeightKind.LINEAR_3N1, QuadExp(3, 2)),
-    "baruah_pent": ThetaSpec(Domain.ALL_INTEGERS, WeightKind.ONE, QuadExp(3, 1, 0, 2)),
-    "e1_series": ThetaSpec(Domain.ALL_INTEGERS, WeightKind.ALT, QuadExp(2, 1)),
-}
-
-
-def named_theta(name: str, order: int) -> Series:
-    """Build one of the named specializations; unknown names are an error."""
-    try:
-        spec = NAMED_SPECS[name]
-    except KeyError:
-        known = ", ".join(sorted(NAMED_SPECS))
-        raise ValueError(f"unknown theta series {name!r}; known: {known}") from None
-    return spec.build(order)
-
-
-def phi(order: int) -> Series:
-    """sum_{n in Z} q^{n^2}."""
-    return named_theta("phi", order)
-
-
-def psi(order: int) -> Series:
-    """sum_{n >= 0} q^{n(n+1)/2}."""
-    return named_theta("psi", order)
-
-
-def phi_neg(order: int) -> Series:
-    """sum_{n in Z} (-1)^n q^{n^2}."""
-    return named_theta("phi_neg", order)
-
-
-def psi_neg(order: int) -> Series:
-    """sum_{n >= 0} (-1)^{n(n+1)/2} q^{n(n+1)/2}."""
-    return named_theta("psi_neg", order)
-
-
-def euler_pentagonal(order: int) -> Series:
-    """sum_{n in Z} (-1)^n q^{n(3n+1)/2}, the expansion of (q;q)_oo."""
-    return named_theta("euler_pentagonal", order)
-
-
-def jacobi_cube(order: int) -> Series:
-    """sum_{n >= 0} (-1)^n (2n+1) q^{n(n+1)/2}, the expansion of (q;q)_oo^3."""
-    return named_theta("jacobi_cube", order)
-
-
-def ram_6n1(order: int) -> Series:
-    """sum_{n in Z} (6n+1) q^{n(3n+1)/2}."""
-    return named_theta("ram_6n1", order)
-
-
-def ram_3n1(order: int) -> Series:
-    """sum_{n in Z} (3n+1) q^{3n^2+2n}."""
-    return named_theta("ram_3n1", order)
-
-
-def baruah_pent(order: int) -> Series:
-    """sum_{n in Z} q^{n(3n+1)/2}."""
-    return named_theta("baruah_pent", order)
-
-
-def e1_series(order: int) -> Series:
-    """sum_{n in Z} (-1)^n q^{2n^2+n}."""
-    return named_theta("e1_series", order)

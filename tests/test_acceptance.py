@@ -11,7 +11,7 @@ from podium.dsl import ParseError, parse, pretty
 from podium.manifest import bundled_manifest, run_oracle_suite, run_suite
 from podium.partitions import FunctionId, count_by_enumeration, gf_series
 from podium.series import constant, pochhammer
-from podium.theta import Domain, QuadExp, WeightKind, theta_series
+from podium.theta import Domain, QuadExp, theta_series
 
 from conftest import run_algebra_trials
 
@@ -101,7 +101,7 @@ def test_criterion_5_mod2_relations():
         == gf_series(FunctionId.P3, n).substitute(2).reduce_mod(2),
         "unsigned triangular recurrence": (
             pod
-            * theta_series(Domain.NON_NEGATIVE, WeightKind.ONE, QuadExp(1, 1, 0, 2), n)
+            * theta_series(Domain.NON_NEGATIVE, lambda k: 1, QuadExp(1, 1, 0, 2), n)
         ).reduce_mod(2)
         == constant(1, n),
     }

@@ -163,9 +163,15 @@ class TestDefaults:
         assert out == "1 1 2 3\n"
 
     def test_bad_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("PODIUM_ORDER", "many")
-        with pytest.raises(SystemExit):
-            main(["expand", "gf(p)"])
+        for value in ("many", "-5"):
+            monkeypatch.setenv("PODIUM_ORDER", value)
+            with pytest.raises(SystemExit) as err:
+                main(["expand", "gf(p)"])
+            assert err.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert captured.err.startswith(f"podium: PODIUM_ORDER={value!r}")
 
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -1,6 +1,8 @@
 import pytest
 
+from podium.cli import main
 from podium.dsl import (
+    MAX_DEPTH,
     Add,
     Div,
     EvalError,
@@ -26,8 +28,9 @@ from podium.dsl import (
     parse,
     pretty,
 )
+from podium.manifest import ManifestError, parse_manifest
 from podium.partitions import FunctionId
-from podium.series import Mismatch, constant, pochhammer
+from podium.series import Mismatch, Series, constant, pochhammer
 from podium.theta import Domain
 
 
@@ -124,6 +127,18 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             expand("1 / (2 + q^1)", 4)
 
+    def test_reciprocal_is_one_inverse_and_no_product(self, monkeypatch):
+        expected = pochhammer(1, 1, 1, 10).inverse()
+        calls = []
+        mul, inverse = Series.__mul__, Series.inverse
+        monkeypatch.setattr(Series, "__mul__", lambda a, b: calls.append("mul") or mul(a, b))
+        monkeypatch.setattr(Series, "inverse", lambda a: calls.append("inverse") or inverse(a))
+        assert expand("1 / poch(q^1, q^1)", 10) == expected
+        assert calls == ["inverse"]
+        calls.clear()
+        expand("2 / poch(q^1, q^1)", 10)
+        assert calls == ["inverse", "mul"]
+
     def test_inexact_div_inside_theta(self):
         with pytest.raises(EvalError):
             expand("theta{n in N}(1; n div 2)", 6)
@@ -188,3 +203,57 @@ class TestPretty:
         ast = Div(GfRef(FunctionId.P), Div(GfRef(FunctionId.POD), GfRef(FunctionId.PED)))
         assert pretty(ast) == "gf(p) / (gf(pod) / gf(ped))"
         assert parse(pretty(ast)) == ast
+
+
+def _bracketed_chain(depth):
+    # a chain inside brackets, continued outside them: the heights add up
+    inner = depth // 2
+    return "(" + "+".join(["1"] * inner) + ")" + "+1" * (depth - inner)
+
+
+# Each shape builds text whose tree is exactly `depth` levels high, paired
+# with the offset of the token that goes past the bound at MAX_DEPTH + 1.
+DEPTH_SHAPES = {
+    "brackets": (lambda d: "(" * d + "q^1" + ")" * d, lambda text: MAX_DEPTH),
+    "unary-minus": (lambda d: "-" * d + "1", lambda text: MAX_DEPTH),
+    "subst": (
+        lambda d: "subst(" * d + "q^1" + ", q^1)" * d,
+        lambda text: 6 * MAX_DEPTH,
+    ),
+    "flat-chain": (lambda d: "+".join(["1"] * (d + 1)), lambda text: 2 * MAX_DEPTH + 1),
+    "theta-chain": (
+        lambda d: "theta{n in N}(1; " + "+".join(["n"] * d) + ")",
+        lambda text: 0,
+    ),
+    "bracketed-chain": (_bracketed_chain, lambda text: len(text) - 2),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEPTH_SHAPES))
+class TestDepthBound:
+    def test_at_bound_parses_evaluates_and_round_trips(self, shape):
+        text = DEPTH_SHAPES[shape][0](MAX_DEPTH)
+        ast = parse(text)
+        assert isinstance(expand(text, 4), Series)
+        assert parse(pretty(ast)) == ast
+
+    def test_past_bound_is_a_parse_error_at_the_offending_token(self, shape):
+        build, offset = DEPTH_SHAPES[shape]
+        text = build(MAX_DEPTH + 1)
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.offset == offset(text)
+        with pytest.raises(ParseError):
+            parse(build(3000))
+
+    def test_past_bound_exits_2_from_expand_and_verify(self, shape, capsys, tmp_path):
+        text = DEPTH_SHAPES[shape][0](MAX_DEPTH + 1)
+        assert main(["expand", "--order", "4", "--", text]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        record = f"[identity]\nid=deep\nlhs={text}\nrhs=1\norder=4\n"
+        with pytest.raises(ManifestError):
+            parse_manifest(record)
+        path = tmp_path / "deep.txt"
+        path.write_text(record)
+        assert main(["verify", "--manifest", str(path)]) == 2
+        assert "deeper than" in capsys.readouterr().err

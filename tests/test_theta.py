@@ -1,23 +1,29 @@
 import pytest
 
+from podium.dsl import named_theta
 from podium.series import constant, pochhammer
 from podium.theta import (
     DivergenceError,
     Domain,
     QuadExp,
-    WeightKind,
     ceil_half,
-    euler_pentagonal,
     gpent,
-    jacobi_cube,
-    named_theta,
-    phi,
-    phi_neg,
-    psi,
-    psi_neg,
     theta_series,
     triangular,
 )
+
+
+def one(n):
+    return 1
+
+
+def alt(n):
+    return -1 if n % 2 else 1
+
+
+def alt_ceil_half(n):
+    return -1 if ceil_half(n) % 2 else 1
+
 
 
 def pentagonal_values(limit):
@@ -85,16 +91,16 @@ class TestQuadExp:
 
 class TestThetaSeries:
     def test_phi_coefficients(self):
-        assert list(phi(9)) == [1, 2, 0, 0, 2, 0, 0, 0, 0, 2]
+        assert list(named_theta("phi", 9)) == [1, 2, 0, 0, 2, 0, 0, 0, 0, 2]
 
     def test_psi_support(self):
-        s = psi(25)
+        s = named_theta("psi", 25)
         ts = {triangular(k) for k in range(10) if triangular(k) <= 25}
         assert all(s[n] == (1 if n in ts else 0) for n in range(26))
 
     def test_hexagonal_sum_matches_triple_product(self):
         n = 100
-        s = theta_series(Domain.ALL_INTEGERS, WeightKind.ALT, QuadExp(2, 1), n)
+        s = theta_series(Domain.ALL_INTEGERS, alt, QuadExp(2, 1), n)
         prod = (
             pochhammer(1, 4, 4, n)
             * pochhammer(1, 3, 4, n)
@@ -110,16 +116,16 @@ class TestThetaSeries:
 
     def test_divergence_guard(self):
         with pytest.raises(DivergenceError):
-            theta_series(Domain.NON_NEGATIVE, WeightKind.ONE, lambda n: 0, 4)
+            theta_series(Domain.NON_NEGATIVE, one, lambda n: 0, 4)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
-            theta_series(Domain.NON_NEGATIVE, WeightKind.ONE, lambda n: n - 2, 4)
+            theta_series(Domain.NON_NEGATIVE, one, lambda n: n - 2, 4)
 
     def test_dipping_window_not_cut_short(self):
         # exponent dips before growing; every point must still be collected
         s = theta_series(
-            Domain.NON_NEGATIVE, WeightKind.ONE, lambda n: (n - 3) ** 2, 4
+            Domain.NON_NEGATIVE, one, lambda n: (n - 3) ** 2, 4
         )
         # n=1..5 give 4,1,0,1,4; n=0,6 give 9,9 (beyond order)
         assert list(s) == [1, 2, 0, 0, 2]
@@ -128,7 +134,7 @@ class TestThetaSeries:
 class TestProductForms:
     def test_phi_two_products(self):
         n = 150
-        lhs = phi(n)
+        lhs = named_theta("phi", n)
         a = pochhammer(-1, 1, 2, n).power(2) * pochhammer(1, 2, 2, n)
         b = pochhammer(1, 2, 2, n).power(5) * (
             pochhammer(1, 1, 1, n).power(2) * pochhammer(1, 4, 4, n).power(2)
@@ -138,30 +144,30 @@ class TestProductForms:
 
     def test_psi_product(self):
         n = 150
-        assert psi(n) == pochhammer(1, 2, 2, n).power(2) * pochhammer(1, 1, 1, n).inverse()
+        assert named_theta("psi", n) == pochhammer(1, 2, 2, n).power(2) * pochhammer(1, 1, 1, n).inverse()
 
     def test_phi_neg_is_substitution(self):
         n = 120
-        assert phi_neg(n) == phi(n).substitute(1, -1)
+        assert named_theta("phi_neg", n) == named_theta("phi", n).substitute(1, -1)
         prod = pochhammer(1, 1, 1, n).power(2) * pochhammer(1, 2, 2, n).inverse()
-        assert phi_neg(n) == prod
+        assert named_theta("phi_neg", n) == prod
 
     def test_psi_neg_product(self):
         n = 120
         prod = pochhammer(1, 2, 2, n) * pochhammer(-1, 1, 2, n).inverse()
-        assert psi_neg(n) == prod
+        assert named_theta("psi_neg", n) == prod
 
     def test_euler_pentagonal_equals_pochhammer(self):
-        assert euler_pentagonal(12) == pochhammer(1, 1, 1, 12)
+        assert named_theta("euler_pentagonal", 12) == pochhammer(1, 1, 1, 12)
 
     def test_jacobi_cube_equals_power(self):
-        assert jacobi_cube(10) == pochhammer(1, 1, 1, 10).power(3)
+        assert named_theta("jacobi_cube", 10) == pochhammer(1, 1, 1, 10).power(3)
 
     def test_reindexing_identity(self):
         n = 100
-        two_sided = theta_series(Domain.ALL_INTEGERS, WeightKind.ALT, QuadExp(2, 1), n)
+        two_sided = theta_series(Domain.ALL_INTEGERS, alt, QuadExp(2, 1), n)
         one_sided = theta_series(
-            Domain.NON_NEGATIVE, WeightKind.ALT_CEIL_HALF, QuadExp(1, 1, 0, 2), n
+            Domain.NON_NEGATIVE, alt_ceil_half, QuadExp(1, 1, 0, 2), n
         )
         assert two_sided == one_sided
 
