@@ -17,10 +17,12 @@ Grammar (whitespace-insensitive)::
             | "(-1)" "^" "(" iexpr ")" | "(" iexpr ")"
 
 "^" binds tightest, then "*" and "/" (left-associative), then "+" and
-"-".  Unary minus binds tighter than "*".  Inside a theta body, "div" is
-exact integer division and errors on any remainder, and "ceil2" is the
-mathematical ceiling of half.  Parse errors carry the byte offset of the
-offending token and the set of tokens that would have been accepted.
+"-".  Unary minus binds tighter than "*".  INT and UINT are ASCII digits
+0-9 only.  A theta body's "+", "-", "*" and integers build the same Add,
+Sub, Mul and IntLit nodes as the series grammar; "div" is exact integer
+division and errors on any remainder, and "ceil2" is the mathematical
+ceiling of half.  Parse errors carry the byte offset of the offending
+token and the set of tokens that would have been accepted.
 
 Text is untrusted, so a tree deeper than MAX_DEPTH levels is a parse
 error: each operator, "^", unary minus, bracket, "subst", "theta", "ceil2"
@@ -128,31 +130,8 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class IInt:
-    value: int
-
-
-@dataclass(frozen=True)
 class IVar:
     name: str
-
-
-@dataclass(frozen=True)
-class IAdd:
-    left: "IExpr"
-    right: "IExpr"
-
-
-@dataclass(frozen=True)
-class ISub:
-    left: "IExpr"
-    right: "IExpr"
-
-
-@dataclass(frozen=True)
-class IMul:
-    left: "IExpr"
-    right: "IExpr"
 
 
 @dataclass(frozen=True)
@@ -179,7 +158,7 @@ class Theta:
     exponent: "IExpr"
 
 
-IExpr = Union[IInt, IVar, IAdd, ISub, IMul, IDiv, ICeil2, ISignPow]
+IExpr = Union[IntLit, IVar, Add, Sub, Mul, IDiv, ICeil2, ISignPow]
 Expr = Union[IntLit, QPow, Poch, GfRef, Subst, Add, Sub, Mul, Div, Pow, Neg, Theta]
 
 
@@ -188,6 +167,7 @@ Expr = Union[IntLit, QPow, Poch, GfRef, Subst, Add, Sub, Mul, Div, Pow, Neg, The
 # ----------------------------------------------------------------------
 
 _SYMBOLS = set("+-*/^(){},;")
+_DIGITS = set("0123456789")  # not str.isdigit, which takes "²" and "٣" too
 
 
 @dataclass(frozen=True)
@@ -206,9 +186,9 @@ def tokenize(text: str) -> list:
         if ch in " \t\r\n":
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(Token("int", text[i:j], i))
             i = j
@@ -243,6 +223,7 @@ class _Parser:
         self.pos = 0
         self.nesting = 0
         self.height = 0
+        self.var = ""  # the theta variable, while a theta body is parsed
 
     def deeper(self, tok: Token, *levels: int) -> int:
         """One above the highest of `levels`; past MAX_DEPTH is an error at `tok`."""
@@ -305,25 +286,30 @@ class _Parser:
         self.expect_sym("^")
         return self.expect_int(minimum)
 
+    def chain(self, operand, ops) -> Expr:
+        """Parse `operand (op right)*` left-associatively.  `ops` maps each
+        operator's text (no other kind of token has it) to its node class
+        and the parser of its right side."""
+        node = operand()
+        while self.peek().text in ops:
+            left, op = self.height, self.advance()
+            make, right = ops[op.text]
+            rhs = right()
+            self.height = self.deeper(op, left, self.height)
+            node = make(node, rhs)
+        return node
+
     # ---- series expressions ----
 
     def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.at_sym("+", "-"):
-            left, op = self.height, self.advance()
-            rhs = self.parse_term()
-            self.height = self.deeper(op, left, self.height)
-            node = Add(node, rhs) if op.text == "+" else Sub(node, rhs)
-        return node
+        return self.chain(
+            self.parse_term, {"+": (Add, self.parse_term), "-": (Sub, self.parse_term)}
+        )
 
     def parse_term(self) -> Expr:
-        node = self.parse_factor()
-        while self.at_sym("*", "/"):
-            left, op = self.height, self.advance()
-            rhs = self.parse_factor()
-            self.height = self.deeper(op, left, self.height)
-            node = Mul(node, rhs) if op.text == "*" else Div(node, rhs)
-        return node
+        return self.chain(
+            self.parse_factor, {"*": (Mul, self.parse_factor), "/": (Div, self.parse_factor)}
+        )
 
     def parse_factor(self) -> Expr:
         node = self.parse_base()
@@ -416,54 +402,41 @@ class _Parser:
         domain = Domain(self.advance().text)
         self.expect_sym("}")
         self.expect_sym("(")
-        weight = self.nested(theta, lambda: self.parse_iexpr(var))
+        self.var = var
+        weight = self.nested(theta, self.parse_iexpr)
         weight_height = self.height
         self.expect_sym(";")
-        exponent = self.nested(theta, lambda: self.parse_iexpr(var))
+        exponent = self.nested(theta, self.parse_iexpr)
         self.height = max(weight_height, self.height)
         self.expect_sym(")")
         return Theta(domain, var, weight, exponent)
 
-    # ---- integer expressions inside theta ----
+    # ---- integer expressions inside theta, in the variable self.var ----
 
-    def parse_iexpr(self, var: str) -> IExpr:
-        node = self.parse_iterm(var)
-        while self.at_sym("+", "-"):
-            left, op = self.height, self.advance()
-            rhs = self.parse_iterm(var)
-            self.height = self.deeper(op, left, self.height)
-            node = IAdd(node, rhs) if op.text == "+" else ISub(node, rhs)
-        return node
+    def parse_iexpr(self) -> IExpr:
+        return self.chain(
+            self.parse_iterm, {"+": (Add, self.parse_iterm), "-": (Sub, self.parse_iterm)}
+        )
 
-    def parse_iterm(self, var: str) -> IExpr:
-        node = self.parse_ifact(var)
-        while True:
-            left = self.height
-            if self.at_sym("*"):
-                op = self.advance()
-                node = IMul(node, self.parse_ifact(var))
-                self.height = self.deeper(op, left, self.height)
-            elif self.at_name("div"):
-                self.height = self.deeper(self.advance(), left)
-                node = IDiv(node, self.expect_int(1))
-            else:
-                return node
+    def parse_iterm(self) -> IExpr:
+        ops = {"*": (Mul, self.parse_ifact), "div": (IDiv, lambda: self.expect_int(1))}
+        return self.chain(self.parse_ifact, ops)
 
-    def parse_ifact(self, var: str) -> IExpr:
+    def parse_ifact(self) -> IExpr:
         tok = self.peek()
         self.height = 0
         if tok.kind == "int":
-            return IInt(self.expect_int())
+            return IntLit(self.expect_int())
         if self.at_name("ceil2"):
             self.advance()
             self.expect_sym("(")
-            node = self.nested(tok, lambda: self.parse_iexpr(var))
+            node = self.nested(tok, self.parse_iexpr)
             self.expect_sym(")")
             return ICeil2(node)
         if tok.kind == "name":
-            if tok.text != var:
+            if tok.text != self.var:
                 raise ParseError(
-                    f"unbound variable {tok.text!r}", tok.offset, (repr(var),)
+                    f"unbound variable {tok.text!r}", tok.offset, (repr(self.var),)
                 )
             self.advance()
             return IVar(tok.text)
@@ -479,10 +452,10 @@ class _Parser:
                 self.expect_sym(")")
                 self.expect_sym("^")
                 self.expect_sym("(")
-                node = self.nested(tok, lambda: self.parse_iexpr(var))
+                node = self.nested(tok, self.parse_iexpr)
                 self.expect_sym(")")
                 return ISignPow(node)
-            node = self.nested(tok, lambda: self.parse_iexpr(var))
+            node = self.nested(tok, self.parse_iexpr)
             self.expect_sym(")")
             return node
         self.fail(("integer", "variable", "'ceil2'", "'(-1)'", "'('"))
@@ -505,15 +478,15 @@ def parse(text: str) -> Expr:
 # ----------------------------------------------------------------------
 
 def _ieval(node: IExpr, value: int) -> int:
-    if isinstance(node, IInt):
+    if isinstance(node, IntLit):
         return node.value
     if isinstance(node, IVar):
         return value
-    if isinstance(node, IAdd):
+    if isinstance(node, Add):
         return _ieval(node.left, value) + _ieval(node.right, value)
-    if isinstance(node, ISub):
+    if isinstance(node, Sub):
         return _ieval(node.left, value) - _ieval(node.right, value)
-    if isinstance(node, IMul):
+    if isinstance(node, Mul):
         return _ieval(node.left, value) * _ieval(node.right, value)
     if isinstance(node, IDiv):
         num = _ieval(node.child, value)
@@ -626,6 +599,8 @@ def check(
 def _as_base(node: Expr) -> str:
     if isinstance(node, IntLit):
         return str(node.value)
+    if isinstance(node, IVar):
+        return node.name
     if isinstance(node, QPow):
         return f"q^{node.k}"
     if isinstance(node, Poch):
@@ -639,10 +614,14 @@ def _as_base(node: Expr) -> str:
     if isinstance(node, Theta):
         return (
             f"theta{{{node.var} in {node.domain.value}}}"
-            f"({_ipretty(node.weight)}; {_ipretty(node.exponent)})"
+            f"({pretty(node.weight)}; {pretty(node.exponent)})"
         )
     if isinstance(node, Neg):
         return "-" + _as_base(node.child)
+    if isinstance(node, ICeil2):
+        return f"ceil2({pretty(node.child)})"
+    if isinstance(node, ISignPow):
+        return f"(-1)^({pretty(node.child)})"
     return "(" + pretty(node) + ")"
 
 
@@ -657,6 +636,8 @@ def _as_term(node: Expr) -> str:
         return f"{_as_term(node.left)} * {_as_factor(node.right)}"
     if isinstance(node, Div):
         return f"{_as_term(node.left)} / {_as_factor(node.right)}"
+    if isinstance(node, IDiv):
+        return f"{_as_term(node.child)} div {node.divisor}"
     return _as_factor(node)
 
 
@@ -667,31 +648,3 @@ def pretty(node: Expr) -> str:
     if isinstance(node, Sub):
         return f"{pretty(node.left)} - {_as_term(node.right)}"
     return _as_term(node)
-
-
-def _ias_fact(node: IExpr) -> str:
-    if isinstance(node, IInt):
-        return str(node.value)
-    if isinstance(node, IVar):
-        return node.name
-    if isinstance(node, ICeil2):
-        return f"ceil2({_ipretty(node.child)})"
-    if isinstance(node, ISignPow):
-        return f"(-1)^({_ipretty(node.child)})"
-    return "(" + _ipretty(node) + ")"
-
-
-def _ias_term(node: IExpr) -> str:
-    if isinstance(node, IMul):
-        return f"{_ias_term(node.left)} * {_ias_fact(node.right)}"
-    if isinstance(node, IDiv):
-        return f"{_ias_term(node.child)} div {node.divisor}"
-    return _ias_fact(node)
-
-
-def _ipretty(node: IExpr) -> str:
-    if isinstance(node, IAdd):
-        return f"{_ipretty(node.left)} + {_ias_term(node.right)}"
-    if isinstance(node, ISub):
-        return f"{_ipretty(node.left)} - {_ias_term(node.right)}"
-    return _ias_term(node)

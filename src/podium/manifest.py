@@ -18,7 +18,6 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 from . import dsl
 from .partitions import (
     DEFAULT_CAPS,
-    CapExceededError,
     FunctionId,
     count_by_enumeration,
     gf_series,
@@ -210,18 +209,39 @@ class SuiteReport:
     def seconds(self) -> float:
         return sum(e.seconds for e in self.entries)
 
-    def lines(self, with_anchor: bool = True) -> list:
-        body = []
-        for entry in self.entries:
-            if with_anchor:
-                body.append(entry.line())
-            else:
-                stripped = SuiteEntry(
-                    entry.name, entry.status, entry.order, 0.0, entry.detail
-                )
-                body.append(stripped.line())
+    def lines(self) -> list:
+        body = [entry.line() for entry in self.entries]
         body.append(f"passed {self.passed}/{self.total}")
         return body
+
+
+def _timed(name: str, order: int, anchor: str, check, *args) -> SuiteEntry:
+    """Time `check(*args)`, which returns a mismatch or None, as one entry.
+
+    A ValueError from the check is an error entry, never raised.
+    """
+    started = time.perf_counter()
+    try:
+        mismatch = check(*args)
+    except ValueError as exc:
+        status, detail = Status.ERROR, str(exc)
+    else:
+        status = Status.PASS if mismatch is None else Status.MISMATCH
+        detail = "" if mismatch is None else str(mismatch)
+    return SuiteEntry(name, status, order, time.perf_counter() - started, detail, anchor)
+
+
+def _check_record(rec: IdentityRecord, order: int) -> Optional[dsl.Mismatch]:
+    return dsl.check(dsl.parse(rec.lhs), dsl.parse(rec.rhs), order, rec.modulus)
+
+
+def _check_oracle(fid: FunctionId, cap: int) -> Optional[str]:
+    series = gf_series(fid, cap)
+    for n in range(cap + 1):
+        counted = count_by_enumeration(fid, n, cap=cap)
+        if counted != series[n]:
+            return f"n={n}: enumeration {counted} != series {series[n]}"
+    return None
 
 
 def run_suite(
@@ -238,39 +258,7 @@ def run_suite(
     entries = []
     for rec in records:
         effective = rec.order if order is None else max(rec.order, order)
-        started = time.perf_counter()
-        try:
-            lhs = dsl.parse(rec.lhs)
-            rhs = dsl.parse(rec.rhs)
-            mismatch = dsl.check(lhs, rhs, effective, rec.modulus)
-        except ValueError as exc:
-            entries.append(
-                SuiteEntry(
-                    rec.id,
-                    Status.ERROR,
-                    effective,
-                    time.perf_counter() - started,
-                    detail=str(exc),
-                    anchor=rec.anchor,
-                )
-            )
-            continue
-        elapsed = time.perf_counter() - started
-        if mismatch is None:
-            entries.append(
-                SuiteEntry(rec.id, Status.PASS, effective, elapsed, anchor=rec.anchor)
-            )
-        else:
-            entries.append(
-                SuiteEntry(
-                    rec.id,
-                    Status.MISMATCH,
-                    effective,
-                    elapsed,
-                    detail=str(mismatch),
-                    anchor=rec.anchor,
-                )
-            )
+        entries.append(_timed(rec.id, effective, rec.anchor, _check_record, rec, effective))
     return SuiteReport(tuple(entries))
 
 
@@ -281,33 +269,12 @@ def run_oracle_suite(
     """Compare enumeration against series coefficients for each function.
 
     Checks f(n) for every n up to the function's cap (or its override in
-    `caps`).  Cap refusals surface as error entries, not exceptions.
+    `caps`).  Cap refusals and other ValueErrors surface as error
+    entries, not exceptions.
     """
     caps = caps or {}
     entries = []
     for fid in functions if functions is not None else list(FunctionId):
         cap = caps.get(fid, DEFAULT_CAPS[fid])
-        started = time.perf_counter()
-        status = Status.PASS
-        detail = ""
-        try:
-            series = gf_series(fid, cap)
-            for n in range(cap + 1):
-                counted = count_by_enumeration(fid, n, cap=cap)
-                if counted != series[n]:
-                    status = Status.MISMATCH
-                    detail = f"n={n}: enumeration {counted} != series {series[n]}"
-                    break
-        except CapExceededError as exc:
-            status = Status.ERROR
-            detail = str(exc)
-        entries.append(
-            SuiteEntry(
-                fid.value,
-                status,
-                cap,
-                time.perf_counter() - started,
-                detail=detail,
-            )
-        )
+        entries.append(_timed(fid.value, cap, "", _check_oracle, fid, cap))
     return SuiteReport(tuple(entries))

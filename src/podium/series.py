@@ -136,12 +136,18 @@ class Series:
         return Series(b)
 
     def power(self, k: int) -> Series:
-        """k-th power by repeated multiplication; negative k inverts first."""
+        """k-th power by repeated squaring, at most two products per bit of k;
+        negative k inverts first."""
         if k < 0:
             return self.inverse().power(-k)
         result = constant(1, self.order)
-        for _ in range(k):
-            result = result * self
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
         return result
 
     __pow__ = power

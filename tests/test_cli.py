@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from podium.cli import main
@@ -105,6 +107,21 @@ class TestExpand:
     def test_eval_error_exits_2(self, capsys):
         code, _, err = run(capsys, "expand", "1 / (2 + q^1)", "--order", "4")
         assert code == 2
+
+    @pytest.mark.parametrize("text", ["q^\u00b2", "q^\u0663"])
+    def test_non_ascii_digit_exits_2(self, capsys, text):
+        code, out, err = run(capsys, "expand", text)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "unexpected character" in err and "offset 2" in err
+
+    def test_huge_exponent_is_fast(self, capsys):
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "expand", "q^1^1000000", "--order", "0")
+        assert time.perf_counter() - started < 1.0
+        assert code == 0
+        assert out == "0\n"
 
 
 class TestOracle:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from podium.cli import main
 from podium.dsl import (
@@ -7,9 +9,6 @@ from podium.dsl import (
     Div,
     EvalError,
     GfRef,
-    IAdd,
-    IMul,
-    IInt,
     ISignPow,
     IVar,
     IntLit,
@@ -42,7 +41,7 @@ class TestParse:
     def test_theta_node(self):
         got = parse("theta{n in Z}((-1)^(n); 2*n*n + n)")
         weight = ISignPow(IVar("n"))
-        exponent = IAdd(IMul(IMul(IInt(2), IVar("n")), IVar("n")), IVar("n"))
+        exponent = Add(Mul(Mul(IntLit(2), IVar("n")), IVar("n")), IVar("n"))
         assert got == Theta(Domain.ALL_INTEGERS, "n", weight, exponent)
 
     def test_gf_reference(self):
@@ -91,6 +90,13 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             parse("1 @ 2")
         assert err.value.offset == 2
+
+    @pytest.mark.parametrize("text", ["q^\u00b2", "q^\u0663"])
+    def test_non_ascii_digit(self, text):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.offset == 2
+        assert "unexpected character" in str(err.value)
 
     def test_q_needs_exponent(self):
         with pytest.raises(ParseError):
@@ -185,6 +191,9 @@ class TestPretty:
             "poch(q^1, q^1)^5 / poch(q^2, q^2)^2",
             "theta{n in Z}(6*n+1; (n*(3*n+1)) div 2)",
             "theta{n in N}((-1)^((n*(n+1)) div 2); (n*(n+1)) div 2)",
+            "theta{n in Z}((-1)^(ceil2(n*(n+1) div 2)); (n + 1)*(n + 2) div 2 + 3*n*n)",
+            "theta{n in N}(2*(n - 1)*ceil2(n) div 2; n*(n*(n + 1) div 2 - (n - 3)) + 1)",
+            "theta{m in Z}((-1)^((-1)^(m) + m) * (m + 1); (2*m*m + m) div 1 - 0)",
         ],
     )
     def test_round_trip(self, text):
@@ -257,3 +266,54 @@ class TestDepthBound:
         path.write_text(record)
         assert main(["verify", "--manifest", str(path)]) == 2
         assert "deeper than" in capsys.readouterr().err
+
+
+# Text drawn from the grammar, then edited by inserting grammar tokens or
+# digits that are not ASCII, so it is often valid and often just past it.
+def _joined(parts, template):
+    return st.tuples(*parts).map(lambda t: template.format(*t))
+
+
+_BODY = st.recursive(
+    st.sampled_from(["0", "1", "12", "n"]),
+    lambda inner: st.one_of(
+        _joined([inner, st.sampled_from("+-*"), inner], "{} {} {}"),
+        _joined([inner, st.sampled_from("123")], "{} div {}"),
+        _joined([inner], "({})"),
+        _joined([inner], "ceil2({})"),
+        _joined([inner], "(-1)^({})"),
+    ),
+    max_leaves=5,
+)
+_SERIES = st.recursive(
+    st.one_of(
+        st.sampled_from(["0", "2", "q^1", "q^2", "poch(q^1, q^1)", "poch(-q^1, q^2)", "gf(pod)"]),
+        _joined([st.sampled_from("ZN"), _BODY, _BODY], "theta{{n in {}}}({}; {})"),
+    ),
+    lambda inner: st.one_of(
+        _joined([inner, st.sampled_from("+-*/"), inner], "{} {} {}"),
+        _joined([inner, st.sampled_from(["2", "-1"])], "{}^{}"),
+        _joined([inner], "({})"),
+        _joined([inner], "-{}"),
+        _joined([inner], "subst({}, -q^2)"),
+    ),
+    max_leaves=5,
+)
+# half the inserted pieces are digits outside ASCII: superscript 2 and 3, Arabic-Indic 3
+_PIECES = st.one_of(
+    st.sampled_from("\u00b2\u00b3\u0663"),
+    st.sampled_from("+ - * / ^ ( ) { } , ; 0 1 12 q n m div ceil2 theta".split()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SERIES, st.lists(st.tuples(st.integers(min_value=0), _PIECES), max_size=2))
+def test_any_text_is_a_parse_error_or_round_trips(text, edits):
+    for at, piece in edits:
+        at %= len(text) + 1
+        text = text[:at] + piece + text[at:]
+    try:
+        ast = parse(text)
+    except ParseError:
+        return
+    assert parse(pretty(ast)) == ast

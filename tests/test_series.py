@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from podium.series import (
@@ -9,7 +11,7 @@ from podium.series import (
     q_power,
 )
 
-from conftest import run_algebra_trials
+from conftest import random_series, run_algebra_trials
 
 
 def brute_partition_count(n, max_part=None):
@@ -136,6 +138,15 @@ class TestPower:
         a = Series([1, 1, 0, 0])
         assert a.power(-1) == a.inverse()
         assert a.power(-2) == a.inverse() * a.inverse()
+
+    def test_matches_repeated_multiplication(self):
+        rng = random.Random(11)
+        for k in range(21):
+            a = random_series(rng, rng.randint(0, 12))
+            expected = constant(1, a.order)
+            for _ in range(k):
+                expected = expected * a
+            assert a.power(k).coeffs == expected.coeffs
 
     def test_negative_power_of_non_unit(self):
         with pytest.raises(ValueError):
