@@ -275,7 +275,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "int":
             self.fail(("integer",))
-        value = int(tok.text)
+        try:
+            value = int(tok.text)
+        except ValueError:  # past the interpreter's limit on digits per int
+            raise ParseError("integer literal too long", tok.offset) from None
         if value < minimum:
             raise ParseError(f"integer must be >= {minimum}", tok.offset)
         self.advance()

@@ -1,8 +1,43 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, and the reference kernels.
+
+`reference_product`, `reference_inverse` and `reference_pochhammer` are
+the plain quadratic algorithms the library's kernels replaced: the
+schoolbook Cauchy convolution, the unit-constant recurrence and the
+per-index Pochhammer update.  They are slow and obviously right, and the
+fast kernels must equal them bit for bit.
+"""
 
 import random
 
 from podium.series import Series, constant
+
+
+def reference_product(a: Series, b: Series) -> Series:
+    """Schoolbook convolution, truncated to the smaller order."""
+    n = min(a.order, b.order)
+    x = a.coeffs[: n + 1]
+    y = b.coeffs[: n + 1]
+    return Series(sum(u * v for u, v in zip(x, y[m::-1])) for m in range(n + 1))
+
+
+def reference_inverse(a: Series) -> Series:
+    """b_0 = a_0, b_n = -a_0 * sum_{k=1..n} a_k b_{n-k}, for a_0 = +1 or -1."""
+    c = a.coeffs
+    b = [c[0]] + [0] * a.order
+    for m in range(1, a.order + 1):
+        b[m] = -c[0] * sum(u * v for u, v in zip(c[1 : m + 1], b[m - 1 :: -1]))
+    return Series(b)
+
+
+def reference_pochhammer(sign: int, a: int, b: int, order: int) -> Series:
+    """prod_{k>=0} (1 - sign * q^{a+k*b}), one coefficient at a time."""
+    c = [1] + [0] * order
+    e = a
+    while e <= order:
+        for i in range(order, e - 1, -1):
+            c[i] -= sign * c[i - e]
+        e += b
+    return Series(c)
 
 
 def random_series(rng: random.Random, order: int) -> Series:
@@ -25,8 +60,10 @@ def run_algebra_trials(seed: int, rounds: int) -> int:
     """Randomized ring-law checks; returns the number of cases exercised.
 
     Each round draws fresh operands at a random order up to 64 and checks
-    commutativity, associativity, distributivity, the inverse contract,
-    and the substitution support property.  Any violation asserts.
+    that the product equals the schoolbook reference and commutes,
+    associativity, distributivity, that the inverse equals the recurrence
+    reference and meets its contract, and the substitution support
+    property.  Any violation asserts.
     """
     rng = random.Random(seed)
     cases = 0
@@ -36,7 +73,9 @@ def run_algebra_trials(seed: int, rounds: int) -> int:
         b = random_series(rng, order)
         c = random_series(rng, order)
 
-        assert a * b == b * a
+        ab = a * b
+        assert list(ab) == list(reference_product(a, b))
+        assert ab == b * a
         cases += 1
         assert a * (b * c) == (a * b) * c
         cases += 1
@@ -44,7 +83,9 @@ def run_algebra_trials(seed: int, rounds: int) -> int:
         cases += 1
 
         u = unit_series(rng, order)
-        assert u * u.inverse() == constant(1, order)
+        inverse = u.inverse()
+        assert list(inverse) == list(reference_inverse(u))
+        assert u * inverse == constant(1, order)
         cases += 1
 
         k = rng.randint(1, 4)

@@ -64,6 +64,15 @@ class TestVerify:
         assert code == 2
         assert "offset" in err
 
+    def test_oversized_literal_in_manifest_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "huge.txt"
+        bad.write_text("[identity]\nid=x\nlhs=q^1^" + "9" * 5000 + "\nrhs=1\norder=5\n")
+        code, out, err = run(capsys, "verify", "--manifest", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "too long" in err and "offset 4" in err
+
     def test_missing_manifest_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--manifest", str(tmp_path / "none.txt"))
         assert code == 2
@@ -116,6 +125,13 @@ class TestExpand:
         assert err.count("\n") == 1
         assert "unexpected character" in err and "offset 2" in err
 
+    def test_oversized_literal_exits_2(self, capsys):
+        code, out, err = run(capsys, "expand", "q^1^" + "9" * 5000)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "too long" in err and "offset 4" in err
+
     def test_huge_exponent_is_fast(self, capsys):
         started = time.perf_counter()
         code, out, _ = run(capsys, "expand", "q^1^1000000", "--order", "0")
@@ -164,6 +180,29 @@ class TestBench:
         _, second, _ = run(capsys, "bench", "--order", "40")
         pick = lambda text: [l for l in text.splitlines() if "sha256" in l or "passed" in l]
         assert pick(first) == pick(second)
+
+    # Recorded before the series kernels were replaced; any change to the
+    # arithmetic that moves a single coefficient moves these hashes.
+    PINNED = {
+        300: (
+            "a06c47e9666c99ca98f52fa7b7f7f11b3450ef761591a505618e6c6f39280314",
+            "502424361cd6f54c201a1042d721795431e259c6387320a8a3faf51e88a6d879",
+        ),
+        1000: (
+            "fda94374917cd333af34175230ba435deea1ea9cd39e27f556b0152ab6774c90",
+            "d652183ef27ba00803c37d854b58218a5b14f6bd26cc8753f65f755a3489ba93",
+        ),
+    }
+
+    @pytest.mark.parametrize("order", sorted(PINNED))
+    def test_checksums_pinned(self, capsys, order):
+        code, out, _ = run(capsys, "bench", "--order", str(order))
+        assert code == 0
+        pod, product = self.PINNED[order]
+        lines = out.splitlines()
+        assert f"pod_sha256={pod}" in lines
+        assert f"mul_sha256={product}" in lines
+        assert "verify_passed=49/49" in lines
 
 
 class TestDefaults:

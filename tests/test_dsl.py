@@ -91,6 +91,12 @@ class TestParseErrors:
             parse("1 @ 2")
         assert err.value.offset == 2
 
+    def test_oversized_integer_literal(self):
+        with pytest.raises(ParseError) as err:
+            parse("q^1^" + "9" * 5000)
+        assert err.value.offset == 4
+        assert "too long" in str(err.value)
+
     @pytest.mark.parametrize("text", ["q^\u00b2", "q^\u0663"])
     def test_non_ascii_digit(self, text):
         with pytest.raises(ParseError) as err:

@@ -84,6 +84,12 @@ class TestParseManifest:
             parse_manifest(bad)
         assert "offset" in str(err.value)
 
+    def test_oversized_integer_literal(self):
+        bad = GOOD.replace("lhs=1", "lhs=q^1^" + "9" * 5000)
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(bad)
+        assert "too long" in str(err.value) and "offset 4" in str(err.value)
+
     def test_stray_line(self):
         with pytest.raises(ManifestError):
             parse_manifest("hello world\n")

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from podium.series import (
+    NEWTON_BASE,
     Mismatch,
     Series,
     constant,
@@ -11,7 +12,14 @@ from podium.series import (
     q_power,
 )
 
-from conftest import random_series, run_algebra_trials
+from conftest import (
+    random_series,
+    reference_inverse,
+    reference_pochhammer,
+    reference_product,
+    run_algebra_trials,
+    unit_series,
+)
 
 
 def brute_partition_count(n, max_part=None):
@@ -255,3 +263,84 @@ def test_equality_is_prefix_based():
 def test_algebra_properties_quick():
     # a smaller-seeded sibling of the acceptance run
     assert run_algebra_trials(seed=7, rounds=40) == 200
+
+
+# Orders on both sides of the recurrence/Newton switch in Series.inverse,
+# and on both sides of each Newton doubling above it.
+EDGE_ORDERS = sorted(
+    {0, 1, 2, NEWTON_BASE - 2, NEWTON_BASE - 1, NEWTON_BASE, NEWTON_BASE + 1,
+     2 * NEWTON_BASE - 1, 2 * NEWTON_BASE, 2 * NEWTON_BASE + 1, 4 * NEWTON_BASE + 3}
+)
+HUGE = 2**15000  # over 4300 decimal digits: any trip through decimal text raises
+
+
+class TestKernelsMatchReferences:
+    """The Kronecker product, the Newton inverse and the sliced Pochhammer
+    builder equal the quadratic reference kernels bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_product_edge_orders(self, seed):
+        rng = random.Random(seed)
+        for n in EDGE_ORDERS:
+            a = random_series(rng, n)
+            b = random_series(rng, rng.choice((n, n + rng.randint(1, 9))))
+            assert list(a * b) == list(reference_product(a, b))
+            assert list(b * a) == list(reference_product(a, b))
+
+    def test_product_zero_operands(self):
+        rng = random.Random(11)
+        for n in EDGE_ORDERS:
+            zero = constant(0, n)
+            a = random_series(rng, n)
+            assert list(zero * a) == [0] * (n + 1)
+            assert list(a * zero) == [0] * (n + 1)
+            assert list(zero * zero) == [0] * (n + 1)
+
+    def test_product_signs_and_sizes(self):
+        # extremes of one sign, mixed signs, and lone large slots
+        rng = random.Random(12)
+        for n in EDGE_ORDERS:
+            for fill in (-1, 1, -(2**64), 2**64 - 1):
+                a = Series([fill] * (n + 1))
+                b = random_series(rng, n)
+                assert list(a * b) == list(reference_product(a, b))
+                assert list(a * a) == list(reference_product(a, a))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_product_huge_coefficients(self, seed):
+        rng = random.Random(seed)
+        for n in (0, 1, 7, 40):
+            coeffs = [rng.choice((-1, 1)) * rng.randint(HUGE, 2 * HUGE) for _ in range(n + 1)]
+            a = Series(coeffs)
+            b = random_series(rng, n)
+            assert list(a * b) == list(reference_product(a, b))
+            assert list(a * a) == list(reference_product(a, a))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_inverse_edge_orders(self, seed):
+        rng = random.Random(100 + seed)
+        for n in EDGE_ORDERS:
+            u = unit_series(rng, n)
+            assert list(u.inverse()) == list(reference_inverse(u))
+
+    def test_inverse_constant_minus_one(self):
+        for n in EDGE_ORDERS:
+            u = -pochhammer(1, 1, 1, n)
+            assert u.coeffs[0] == -1
+            assert list(u.inverse()) == list(reference_inverse(u))
+
+    def test_inverse_huge_coefficients(self):
+        rng = random.Random(7)
+        n = NEWTON_BASE + 1
+        coeffs = [-1] + [0] * n
+        for i in rng.sample(range(1, n + 1), 3):
+            coeffs[i] = rng.choice((-1, 1)) * rng.randint(HUGE, 2 * HUGE)
+        u = Series(coeffs)
+        assert list(u.inverse()) == list(reference_inverse(u))
+
+    def test_pochhammer(self):
+        for order in EDGE_ORDERS + [300]:
+            for sign in (1, -1):
+                for a, b in ((1, 1), (1, 2), (2, 2), (3, 5), (4, 4), (order + 1, 1)):
+                    expected = list(reference_pochhammer(sign, a, b, order))
+                    assert list(pochhammer(sign, a, b, order)) == expected
