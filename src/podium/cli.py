@@ -105,11 +105,12 @@ def cmd_verify(args) -> int:
 def cmd_expand(args) -> int:
     order = args.order if args.order is not None else default_order()
     try:
-        series = evaluate(parse(args.expression), order)
+        # str() of a coefficient past the int-to-string digit limit raises too
+        text = " ".join(str(c) for c in evaluate(parse(args.expression), order))
     except ValueError as exc:
         print(f"podium: {exc}", file=sys.stderr)
         return 2
-    _emit(" ".join(str(c) for c in series) + "\n", args.out)
+    _emit(text + "\n", args.out)
     return 0
 
 

@@ -8,8 +8,15 @@ one.  The two paths share no code beyond integer arithmetic, so each one
 is an oracle for the other; the oracle suite in :mod:`podium.manifest`
 compares them coefficient by coefficient.
 
+The count comes from one depth-first walk per (function, limit) that
+visits every object of total <= limit exactly once, the classical
+one-object-per-step partition generation (Knuth, TAOCP vol. 4A,
+§7.2.1.4), and adds its weight at its own total.  The per-total table is
+cached, so checking f(0..cap) one n at a time costs a single walk.
+
 Enumeration is exponential in spirit, so each function carries a default
-cap and a hard ceiling past which it refuses to run.
+cap and a hard ceiling past which it refuses to run; a refused call
+generates nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from . import dsl
 # pochhammer is not called here, but benchmark/test_benchmark.py checks this binding
@@ -141,34 +148,13 @@ def table(fid: FunctionId, nmax: int) -> list:
 # enumeration oracles
 # ----------------------------------------------------------------------
 #
-# The generator below walks "slots": (size, max multiplicity) pairs in
-# descending size order.  A c-colored part value appears as c slots of
-# the same size, so color-multiplicity splits are enumerated explicitly.
+# Each function's objects are built from "slots": (size, max multiplicity)
+# pairs in descending size order.  A c-colored part value appears as c
+# slots of the same size, so color-multiplicity splits are enumerated
+# explicitly.
 
 Slots = list
 Parts = tuple  # tuple of (size, multiplicity), multiplicity >= 1
-
-
-def _iter_partitions(n: int, slots: Slots) -> Iterator[Parts]:
-    acc = []
-
-    def rec(i, remaining):
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        if i == len(slots):
-            return
-        size, cap = slots[i]
-        top = remaining // size
-        if cap is not None and cap < top:
-            top = cap
-        for mult in range(top, 0, -1):
-            acc.append((size, mult))
-            yield from rec(i + 1, remaining - size * mult)
-            acc.pop()
-        yield from rec(i + 1, remaining)
-
-    yield from rec(0, n)
 
 
 def _slots_plain(n, allow=None, cap=None, colors=1):
@@ -257,11 +243,54 @@ _RULES = {
 }
 
 
+@lru_cache(maxsize=64)
+def _enumeration_table(fid: FunctionId, limit: int) -> tuple:
+    """Signed counts f(0..limit) from one depth-first walk over every object.
+
+    Each node of the walk is one object of total <= limit; it adds its
+    weight at its own total, then extends itself by one more slot past the
+    last one it uses.  The loop starts at the first slot whose size still
+    fits, so every step makes a new object and no branch is a dead end.
+    """
+    rule = _RULES[fid]
+    slots = rule.slots(limit)
+    # first_fit[r]: index of the first slot of size <= r (sizes descend)
+    first_fit = [sum(1 for size, _ in slots if size > r) for r in range(limit + 1)]
+    keep, weight, overlined = rule.keep, rule.weight, rule.overlined
+    counts = [0] * (limit + 1)
+    n_slots = len(slots)
+
+    def visit(parts: Parts, start: int, total: int):
+        if keep is None or keep(parts):
+            w = weight(parts)
+            if overlined:
+                # each distinct part value may or may not be overlined
+                for _ in itertools.product((False, True), repeat=len(parts)):
+                    counts[total] += w
+            else:
+                counts[total] += w
+        remaining = limit - total
+        first = first_fit[remaining]
+        for i in range(start if start > first else first, n_slots):
+            size, cap = slots[i]
+            top = remaining // size
+            if cap is not None and cap < top:
+                top = cap
+            for used in range(size, size * top + 1, size):
+                visit(parts + ((size, used // size),), i + 1, total + used)
+
+    visit((), 0, 0)
+    return tuple(counts)
+
+
 def count_by_enumeration(fid: FunctionId, n: int, cap: Optional[int] = None) -> int:
     """Exact signed count of the objects behind `fid` at n, by generation.
 
     `cap` overrides the per-function default bound but may not pass the
-    hard ceiling; both violations refuse loudly rather than grind.
+    hard ceiling; both violations refuse loudly, before any object is
+    generated, rather than grind.  The count is read from a cached table
+    that one walk fills for every total up to `cap` when it is given (so
+    a caller stepping n = 0..cap walks once) and up to n otherwise.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -274,16 +303,4 @@ def count_by_enumeration(fid: FunctionId, n: int, cap: Optional[int] = None) -> 
         raise CapExceededError(
             f"{fid.value} enumeration at n={n} is past its cap {limit}"
         )
-    rule = _RULES[fid]
-    total = 0
-    for parts in _iter_partitions(n, rule.slots(n)):
-        if rule.keep is not None and not rule.keep(parts):
-            continue
-        w = rule.weight(parts)
-        if rule.overlined:
-            # each distinct part value may or may not be overlined
-            for _ in itertools.product((False, True), repeat=len(parts)):
-                total += w
-        else:
-            total += w
-    return total
+    return _enumeration_table(fid, n if cap is None else cap)[n]

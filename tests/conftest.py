@@ -5,10 +5,19 @@ the plain quadratic algorithms the library's kernels replaced: the
 schoolbook Cauchy convolution, the unit-constant recurrence and the
 per-index Pochhammer update.  They are slow and obviously right, and the
 fast kernels must equal them bit for bit.
+
+`reference_count` is the enumeration oracle's old per-n generator: it
+builds the objects of total exactly n one slot at a time, skipping a slot
+as a branch of its own, and counts them with the function's own rule.
+The single walk behind `count_by_enumeration` must equal it.
 """
 
+import itertools
 import random
 
+import pytest
+
+from podium import partitions
 from podium.series import Series, constant
 
 
@@ -38,6 +47,54 @@ def reference_pochhammer(sign: int, a: int, b: int, order: int) -> Series:
             c[i] -= sign * c[i - e]
         e += b
     return Series(c)
+
+
+def _iter_partitions(n, slots):
+    acc = []
+
+    def rec(i, remaining):
+        if remaining == 0:
+            yield tuple(acc)
+            return
+        if i == len(slots):
+            return
+        size, cap = slots[i]
+        top = remaining // size
+        if cap is not None and cap < top:
+            top = cap
+        for mult in range(top, 0, -1):
+            acc.append((size, mult))
+            yield from rec(i + 1, remaining - size * mult)
+            acc.pop()
+        yield from rec(i + 1, remaining)
+
+    yield from rec(0, n)
+
+
+def reference_count(fid: partitions.FunctionId, n: int) -> int:
+    """Signed count of the objects of total n, one generator per n, no cap."""
+    rule = partitions._RULES[fid]
+    total = 0
+    for parts in _iter_partitions(n, rule.slots(n)):
+        if rule.keep is not None and not rule.keep(parts):
+            continue
+        w = rule.weight(parts)
+        if rule.overlined:
+            for _ in itertools.product((False, True), repeat=len(parts)):
+                total += w
+        else:
+            total += w
+    return total
+
+
+@pytest.fixture
+def no_walk(monkeypatch):
+    """Make any enumeration walk fail, to show a refused call starts none."""
+
+    def walk(fid, limit):
+        raise AssertionError(f"walked {fid.value} to {limit}")
+
+    monkeypatch.setattr(partitions, "_enumeration_table", walk)
 
 
 def random_series(rng: random.Random, order: int) -> Series:

@@ -132,6 +132,19 @@ class TestExpand:
         assert err.count("\n") == 1
         assert "too long" in err and "offset 4" in err
 
+    def test_oversized_coefficient_exits_2(self, capsys):
+        # 2^15000 has 4516 digits, past the interpreter's int-to-string limit
+        code, out, err = run(capsys, "expand", "2^15000", "--order", "0")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+
+    def test_large_coefficient_prints(self, capsys):
+        code, out, _ = run(capsys, "expand", "2^14000", "--order", "0")
+        assert code == 0
+        assert out == str(2**14000) + "\n"
+        assert len(out.strip()) == 4215
+
     def test_huge_exponent_is_fast(self, capsys):
         started = time.perf_counter()
         code, out, _ = run(capsys, "expand", "q^1^1000000", "--order", "0")

@@ -171,7 +171,7 @@ class TestOracleSuite:
         assert report.entries[0].status == "error"
         assert not report.all_pass
 
-    def test_bad_cap_is_an_entry(self):
+    def test_bad_cap_is_an_entry(self, no_walk):
         report = run_oracle_suite(functions=[FunctionId.P], caps={FunctionId.P: -1})
         assert report.entries[0].status == "error"
         assert "order must be >= 0" in report.entries[0].detail

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import reference_count
 from podium.partitions import (
     DEFAULT_CAPS,
     HARD_CAPS,
@@ -59,10 +60,14 @@ class TestSpotValues:
         assert table(FunctionId.EOBAR, 8)[1::2] == [0, 0, 0, 0]
 
 
+def small_cap(fid):
+    return min(DEFAULT_CAPS[fid], 16 if fid is not FunctionId.P3 else 12)
+
+
 class TestOracleEquivalence:
     @pytest.mark.parametrize("fid", list(FunctionId), ids=lambda f: f.value)
     def test_enumeration_matches_series(self, fid):
-        cap = min(DEFAULT_CAPS[fid], 16 if fid is not FunctionId.P3 else 12)
+        cap = small_cap(fid)
         series = gf_series(fid, cap)
         for n in range(cap + 1):
             assert count_by_enumeration(fid, n, cap=cap) == series[n], (fid, n)
@@ -74,8 +79,23 @@ class TestOracleEquivalence:
         assert gf_series(FunctionId.PED, 2)[2] != gf_series(FunctionId.POD, 2)[2]
 
 
+class TestWalkMatchesReference:
+    @pytest.mark.parametrize("fid", list(FunctionId), ids=lambda f: f.value)
+    def test_tables_equal_per_n_generator(self, fid):
+        cap = small_cap(fid)
+        expected = [reference_count(fid, n) for n in range(cap + 1)]
+        # one walk up to the cap, and one walk per n when no cap is passed
+        assert [count_by_enumeration(fid, n, cap=cap) for n in range(cap + 1)] == expected
+        assert [count_by_enumeration(fid, n) for n in range(cap + 1)] == expected
+
+    def test_override_cap(self):
+        cap = DEFAULT_CAPS[FunctionId.QODD] + 3
+        got = [count_by_enumeration(FunctionId.QODD, n, cap=cap) for n in range(cap + 1)]
+        assert got == [reference_count(FunctionId.QODD, n) for n in range(cap + 1)]
+
+
 class TestCaps:
-    def test_default_cap_enforced(self):
+    def test_default_cap_enforced(self, no_walk):
         with pytest.raises(CapExceededError):
             count_by_enumeration(FunctionId.P3, DEFAULT_CAPS[FunctionId.P3] + 1)
 
@@ -84,11 +104,11 @@ class TestCaps:
         got = count_by_enumeration(FunctionId.QODD, n, cap=n)
         assert got == gf_series(FunctionId.QODD, n)[n]
 
-    def test_hard_ceiling(self):
+    def test_hard_ceiling(self, no_walk):
         with pytest.raises(CapExceededError):
             count_by_enumeration(FunctionId.P3, 10, cap=60)
 
-    def test_negative_n(self):
+    def test_negative_n(self, no_walk):
         with pytest.raises(ValueError):
             count_by_enumeration(FunctionId.P, -1)
 
