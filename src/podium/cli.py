@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
+import platform
 import sys
 import time
 from typing import Optional
@@ -133,29 +135,53 @@ def _sha256_of(series) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def cmd_bench(args) -> int:
-    order = args.order if args.order is not None else default_order()
-    lines = [f"order={order}"]
-
+def _bench_run(order: int) -> dict:
+    """Time the pod build, one pod*pod product and the bundled suite."""
     started = time.perf_counter()
     pod = gf_series(FunctionId.POD, order)
     build_ms = (time.perf_counter() - started) * 1000.0
-    lines.append(f"pod_build_ms={build_ms:.1f}")
-    lines.append(f"pod_sha256={_sha256_of(pod)}")
 
     started = time.perf_counter()
     product = pod * pod
     mul_ms = (time.perf_counter() - started) * 1000.0
-    lines.append(f"mul_ms={mul_ms:.1f}")
-    lines.append(f"mul_sha256={_sha256_of(product)}")
 
     started = time.perf_counter()
     report = run_suite(order=order)
     verify_ms = (time.perf_counter() - started) * 1000.0
-    lines.append(f"verify_ms={verify_ms:.1f}")
-    lines.append(f"verify_passed={report.passed}/{report.total}")
 
-    sys.stdout.write("\n".join(lines) + "\n")
+    return {
+        "order": order,
+        "pod_build_ms": build_ms,
+        "pod_sha256": _sha256_of(pod),
+        "mul_ms": mul_ms,
+        "mul_sha256": _sha256_of(product),
+        "verify_ms": verify_ms,
+        "verify_passed": f"{report.passed}/{report.total}",
+        "record_seconds": {entry.name: entry.seconds for entry in report.entries},
+    }
+
+
+def cmd_bench(args) -> int:
+    orders = args.order if args.order is not None else [default_order()]
+    runs = []
+    for order in orders:
+        run = _bench_run(order)
+        runs.append(run)
+        lines = [
+            f"{key}={value:.1f}" if key.endswith("_ms") else f"{key}={value}"
+            for key, value in run.items()
+            if key != "record_seconds"
+        ]
+        sys.stdout.write("\n".join(lines) + "\n")
+    if args.json is not None:
+        document = {
+            "python_version": platform.python_version(),
+            "cpu_count": os.cpu_count(),
+            "runs": runs,
+        }
+        with open(args.json, "w", encoding="ascii") as handle:
+            json.dump(document, handle, indent=2)
+            handle.write("\n")
     return 0
 
 
@@ -205,7 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bench", help="time the heavy paths and print checksums")
-    p.add_argument("--order", type=nonneg_int, default=None)
+    p.add_argument("--order", type=nonneg_int, nargs="+", default=None,
+                   help="one or more orders, each run in turn")
+    p.add_argument("--json", metavar="PATH", default=None,
+                   help="also write the timings, per-record seconds and checksums as JSON")
     p.set_defaults(func=cmd_bench)
 
     return parser

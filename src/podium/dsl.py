@@ -31,15 +31,47 @@ all recurse, inside Python's default recursion limit.
 
 This is the one path from text to a Series: the counting functions'
 product forms and the named theta sums are text evaluated here.
+
+Evaluation goes through an eta-quotient normal form (:func:`normal_form`):
+a product-shaped expression becomes an exponent vector {b: a_b} for the
+factors (q^b; q^b)_oo, plus a leftover.  The rewrites, all classical:
+
+* (q^b; q^b) is {b: 1}, and (q^a; q^2a) = (q^a; q^a) / (q^2a; q^2a);
+* (-q^a; q^b) = (q^2a; q^2b) / (q^a; q^b), then the two rules above;
+* subst(., -q) maps (q^b; q^b) with b odd to
+  (q^2b; q^2b)^3 / ((q^b; q^b) (q^4b; q^4b)), and leaves even b alone;
+* subst(., q^k) multiplies every b by k;
+* "*", "/" and "^" add, subtract and scale the vectors, and gf(f) lowers
+  through its product form.
+
+Anything else is a leftover: theta sums, polynomials, constants, "+",
+"-", and a poch that is no eta quotient, such as (q; q^4).  The leftover
+keeps the shape of the source, so the tree walk evaluates it, and inverts
+each leftover divisor, exactly as it would in the whole tree; errors and
+their messages do not change.  The vector is then applied to the
+leftover's series by the sparse eta kernels of :mod:`podium.series`.
+Below order NEWTON_BASE (32), the series layer's own switch between
+small and large orders, the whole tree is walked node by node; lowering
+gains nothing measurable there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from functools import lru_cache
+from typing import Dict, Optional, Tuple, Union
 
 from . import partitions  # read at call time: partitions imports this module
-from .series import Mismatch, Series, constant, equal_upto, pochhammer, q_power
+from .series import (
+    NEWTON_BASE,
+    Mismatch,
+    Series,
+    constant,
+    equal_upto,
+    eta_quotient,
+    pochhammer,
+    q_power,
+)
 from .theta import Domain, ceil_half, theta_series
 
 MAX_DEPTH = 100
@@ -504,10 +536,123 @@ def _ieval(node: IExpr, value: int) -> int:
     raise TypeError(f"not an integer expression: {node!r}")
 
 
+# ----------------------------------------------------------------------
+# eta-quotient normal form
+# ----------------------------------------------------------------------
+
+Etas = Dict[int, int]
+
+
+def _poch_etas(sign: int, a: int, b: int) -> Optional[Etas]:
+    """(+-q^a; q^b)_oo as powers of (q^c; q^c)_oo, or None if it is not one."""
+    if sign == -1:
+        # (-q^a; q^b) = (q^2a; q^2b) / (q^a; q^b)
+        num = _poch_etas(1, 2 * a, 2 * b)
+        den = _poch_etas(1, a, b)
+        return None if num is None or den is None else _merged(num, den, -1)
+    if a == b:
+        return {a: 1}
+    if b == 2 * a:
+        # (q^a; q^2a) = (q^a; q^a) / (q^2a; q^2a)
+        return {a: 1, b: -1}
+    return None
+
+
+def _merged(left: Etas, right: Etas, scale: int) -> Etas:
+    out = dict(left)
+    for b, a in right.items():
+        out[b] = out.get(b, 0) + scale * a
+    return out
+
+
+def _substituted(etas: Etas, k: int, sign: int) -> Etas:
+    """The exponents of prod (q^b; q^b)^a under q -> sign * q^k."""
+    out = {}
+    for b, a in etas.items():
+        if sign == -1 and b % 2:
+            # (-q; -q)^b-odd = (q^2b; q^2b)^3 / ((q^b; q^b) (q^4b; q^4b))
+            for c, m in ((b, -1), (2 * b, 3), (4 * b, -1)):
+                out[c * k] = out.get(c * k, 0) + m * a
+        else:
+            out[b * k] = out.get(b * k, 0) + a
+    return out
+
+
+_ONE = IntLit(1)
+
+
+@lru_cache(maxsize=None)
+def _product_form(fid: "partitions.FunctionId") -> Expr:
+    return parse(partitions.PRODUCT_FORMS[fid])
+
+
+def _lower(node: Expr) -> Tuple[Etas, Optional[Expr]]:
+    """normal_form without dropping zero exponents.  The rest is `node`
+    itself only when nothing below it was lowered, and a rest is its own
+    rest, so evaluate's recursion on it ends."""
+    if isinstance(node, Poch):
+        etas = _poch_etas(node.sign, node.a, node.b)
+        return ({}, node) if etas is None else (etas, None)
+    if isinstance(node, GfRef):
+        return _lower(_product_form(node.fid))
+    if isinstance(node, Subst):
+        etas, rest = _lower(node.child)
+        if rest is not None and rest is not node.child:
+            node = Subst(rest, node.k, node.sign)
+        return _substituted(etas, node.k, node.sign), None if rest is None else node
+    if isinstance(node, Pow):
+        etas, rest = _lower(node.child)
+        if rest is not None and rest is not node.child:
+            node = Pow(rest, node.exponent)
+        return {b: a * node.exponent for b, a in etas.items()}, None if rest is None else node
+    if isinstance(node, (Mul, Div)):
+        left, left_rest = _lower(node.left)
+        right, right_rest = _lower(node.right)
+        etas = _merged(left, right, 1 if isinstance(node, Mul) else -1)
+        if right_rest is None:
+            return etas, left_rest
+        if isinstance(node, Mul) and left_rest is None:
+            return etas, right_rest
+        # a leftover divisor is still inverted where it stood, under 1 if
+        # nothing is left of the dividend
+        left_rest = left_rest or _ONE
+        if left_rest != node.left or right_rest is not node.right:
+            node = type(node)(left_rest, right_rest)
+        return etas, node
+    if node == _ONE:
+        return {}, None
+    return {}, node
+
+
+def normal_form(node: Expr) -> Tuple[Etas, Optional[Expr]]:
+    """Split an expression into an eta quotient and a leftover.
+
+    Returns (etas, rest) with node == prod_b (q^b; q^b)_oo^{etas[b]} * rest
+    at every order, where rest is None when nothing is left over.  etas
+    has no zero exponents.  The rest keeps the source's shape: each
+    leftover factor stays where it stood, under its Div or Pow, so the
+    walk evaluates and inverts it as it would in the full tree.  An
+    expression with nothing to lower is its own rest.
+    """
+    etas, rest = _lower(node)
+    return {b: a for b, a in etas.items() if a}, rest
+
+
 def evaluate(node: Expr, order: int) -> Series:
-    """Evaluate a parsed expression to an exact Series at `order`."""
+    """Evaluate a parsed expression to an exact Series at `order`.
+
+    From order NEWTON_BASE on, a product-shaped expression goes through
+    its normal form: the leftover is walked and the eta quotient applied
+    by the sparse kernels.  Below it, and for the leftover, the tree is
+    walked node by node.
+    """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
+    if order >= NEWTON_BASE:
+        etas, rest = normal_form(node)
+        if rest is not node:
+            base = constant(1, order) if rest is None else evaluate(rest, order)
+            return eta_quotient(base, etas)
     if isinstance(node, IntLit):
         return constant(node.value, order)
     if isinstance(node, QPow):

@@ -13,11 +13,21 @@ integer multiply instead of two million interpreted ones.  Inversion runs
 the exact recurrence on the first few dozen coefficients and Newton's
 iteration above them.  The tests compare every kernel bit for bit with
 the plain quadratic algorithms they replace.
+
+Products of powers of (q^b; q^b)_oo never take the dense path
+(:func:`eta_quotient`).  Euler's pentagonal sum and Jacobi's sum for the
+cube have about sqrt(N/b) terms each, so multiplying by (q^b; q^b)^{1 or
+3} is that many slice updates, and dividing by one is the linear
+recurrence g_n = c_n - sum_e w_e g_{n-e} over those exponents, the kind
+of recurrence the pod paper derives (Andrews, The Theory of Partitions,
+ch. 1-2).  A power past the cube comes from J. C. P. Miller's recurrence
+in O(N sqrt(N/b)) steps for any exponent and is multiplied in once.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
@@ -274,6 +284,143 @@ def pochhammer(sign: int, a: int, b: int, order: int) -> Series:
         # the right side is built in full from the old values before the
         # slice is replaced, as multiplying by the factor needs
         c[e:] = list(map(step, c[e:], c))
+    return Series(c)
+
+
+# ----------------------------------------------------------------------
+# sparse eta kernels
+# ----------------------------------------------------------------------
+#
+# A term list is the sparse polynomial 1 + sum w q^e as (e, w) pairs in
+# increasing e, every e in 1..limit.
+
+def _pentagonal(limit: int) -> list:
+    """Euler: (q; q)_oo = sum_j (-1)^j q^{j(3j-1)/2} over all integers j."""
+    terms = []
+    j = 1
+    while j * (3 * j - 1) // 2 <= limit:
+        sign = -1 if j & 1 else 1
+        terms.append((j * (3 * j - 1) // 2, sign))
+        if j * (3 * j + 1) // 2 <= limit:
+            terms.append((j * (3 * j + 1) // 2, sign))
+        j += 1
+    return terms
+
+
+def _jacobi(limit: int) -> list:
+    """Jacobi: (q; q)_oo^3 = sum_{n>=0} (-1)^n (2n+1) q^{n(n+1)/2}."""
+    terms = []
+    n = 1
+    while n * (n + 1) // 2 <= limit:
+        terms.append((n * (n + 1) // 2, -(2 * n + 1) if n & 1 else 2 * n + 1))
+        n += 1
+    return terms
+
+
+def _times(c: list, terms: list) -> list:
+    """c times the term list, truncated to len(c): one slice update per term."""
+    out = list(c)
+    for e, w in terms:
+        if w == 1:
+            out[e:] = map(operator.add, out[e:], c)
+        elif w == -1:
+            out[e:] = map(operator.sub, out[e:], c)
+        else:
+            out[e:] = map(operator.add, out[e:], map(w.__mul__, c))
+    return out
+
+
+def _runs(exponents: list, size: int):
+    """The runs start..stop-1 of n in 0..size-1 cut at each exponent, so
+    the same terms have e <= n all through a run."""
+    bounds = [0, *exponents, size]
+    return zip(bounds, bounds[1:])
+
+
+def _picker(exponents: list):
+    """The function g -> (g[-e] for e in exponents), one C-level call.
+    While g_n is computed g holds n coefficients, so g[-e] is g_{n-e}."""
+    if len(exponents) > 1:
+        return operator.itemgetter(*map(operator.neg, exponents))
+    return lambda g: [g[-e] for e in exponents]
+
+
+def _divide(c: list, terms: list) -> list:
+    """g with g * (term list) = c, one coefficient at a time:
+    g_n = c_n - sum_e w_e g_{n-e}, the recurrence of the paper's kind."""
+    exponents = [e for e, _ in terms]
+    weights = [w for _, w in terms]
+    plus = [e for e, w in terms if w == 1]
+    minus = [e for e, w in terms if w == -1]
+    signs_only = len(plus) + len(minus) == len(terms)  # Euler's sum
+    g = []
+    for start, stop in _runs(exponents, len(c)):
+        if signs_only:
+            plus_at = _picker(plus[: bisect_right(plus, start)])
+            minus_at = _picker(minus[: bisect_right(minus, start)])
+            for n in range(start, stop):
+                g.append(c[n] - sum(plus_at(g)) + sum(minus_at(g)))
+        else:
+            k = bisect_right(exponents, start)
+            pick, ws = _picker(exponents[:k]), weights[:k]
+            for n in range(start, stop):
+                g.append(c[n] - sum(map(operator.mul, ws, pick(g))))
+    return g
+
+
+def _eta_power(a: int, limit: int) -> list:
+    """(q; q)_oo^a up to q^limit, by J. C. P. Miller's recurrence for the
+    power of a series f with f_0 = 1:
+
+        n g_n = sum_{k=1..n} ((a+1) k - n) f_k g_{n-k},
+
+    with f Euler's pentagonal sum, so each g_n costs O(sqrt(n)) terms
+    whatever the size of a.  The division by n is exact.
+    """
+    terms = _pentagonal(limit)
+    exponents = [e for e, _ in terms]
+    weights = [e * w for e, w in terms]
+    plus = [e for e, w in terms if w == 1]
+    minus = [e for e, w in terms if w == -1]
+    g = [1]
+    for start, stop in _runs(exponents, limit + 1):
+        k = bisect_right(exponents, start)
+        pick, ws = _picker(exponents[:k]), weights[:k]
+        plus_at = _picker(plus[: bisect_right(plus, start)])
+        minus_at = _picker(minus[: bisect_right(minus, start)])
+        for n in range(max(start, 1), stop):
+            s1 = sum(map(operator.mul, ws, pick(g)))
+            s0 = sum(plus_at(g)) - sum(minus_at(g))
+            g.append(((a + 1) * s1 - n * s0) // n)
+    return g
+
+
+def eta_quotient(base: Series, etas: dict) -> Series:
+    """base * prod_b (q^b; q^b)_oo^{a_b}, for etas = {b: a_b}.
+
+    Exponents +-1 and +-2 multiply by Euler's pentagonal sum or divide by
+    it once or twice, +-3 by Jacobi's sum once, each in O(N sqrt(N/b))
+    integer additions.  Any larger |a_b| is expanded on its own by
+    Miller's recurrence at order N // b and multiplied in once, so no
+    loop runs |a_b| times.
+    """
+    order = base.order
+    c = list(base.coeffs)
+    # Miller's factors first: on a base of 1 the first one is the result
+    for b, a in sorted(etas.items(), key=lambda item: abs(item[1]) <= 3):
+        limit = order // b
+        if not a or not limit:
+            continue
+        if abs(a) > 3:
+            power = [0] * (order + 1)
+            power[:: b] = _eta_power(a, limit)
+            unit = c[0] == 1 and not any(c[1:])
+            c = power if unit else _product(c, power, order + 1)
+            continue
+        terms = [(b * e, w) for e, w in (_jacobi if abs(a) == 3 else _pentagonal)(limit)]
+        kernel = _times if a > 0 else _divide
+        for _ in range(1 if abs(a) == 3 else abs(a)):
+            c = kernel(c, terms)
     return Series(c)
 
 

@@ -6,6 +6,11 @@ schoolbook Cauchy convolution, the unit-constant recurrence and the
 per-index Pochhammer update.  They are slow and obviously right, and the
 fast kernels must equal them bit for bit.
 
+`reference_evaluate` is the plain tree walk the evaluator replaced above
+small orders: every node is a dense Series, every product a `*` and every
+quotient an inverse.  The eta-quotient evaluator must give the same
+coefficients, or raise the same exception with the same message.
+
 `reference_count` is the enumeration oracle's old per-n generator: it
 builds the objects of total exactly n one slot at a time, skipping a slot
 as a branch of its own, and counts them with the function's own rule.
@@ -17,8 +22,9 @@ import random
 
 import pytest
 
-from podium import partitions
-from podium.series import Series, constant
+from podium import dsl, partitions
+from podium.series import Series, constant, pochhammer, q_power
+from podium.theta import theta_series
 
 
 def reference_product(a: Series, b: Series) -> Series:
@@ -47,6 +53,55 @@ def reference_pochhammer(sign: int, a: int, b: int, order: int) -> Series:
             c[i] -= sign * c[i - e]
         e += b
     return Series(c)
+
+
+def reference_evaluate(node, order: int) -> Series:
+    """Walk the tree node by node with dense Series arithmetic; gf(f) walks
+    its product form the same way."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    if isinstance(node, dsl.IntLit):
+        return constant(node.value, order)
+    if isinstance(node, dsl.QPow):
+        return q_power(node.k, order)
+    if isinstance(node, dsl.Poch):
+        return pochhammer(node.sign, node.a, node.b, order)
+    if isinstance(node, dsl.GfRef):
+        return reference_evaluate(dsl.parse(partitions.PRODUCT_FORMS[node.fid]), order)
+    if isinstance(node, dsl.Subst):
+        return reference_evaluate(node.child, order).substitute(node.k, node.sign)
+    if isinstance(node, dsl.Add):
+        return reference_evaluate(node.left, order) + reference_evaluate(node.right, order)
+    if isinstance(node, dsl.Sub):
+        return reference_evaluate(node.left, order) - reference_evaluate(node.right, order)
+    if isinstance(node, dsl.Mul):
+        return reference_evaluate(node.left, order) * reference_evaluate(node.right, order)
+    if isinstance(node, dsl.Div):
+        if node.left == dsl.IntLit(1):
+            return reference_evaluate(node.right, order).inverse()
+        return reference_evaluate(node.left, order) * reference_evaluate(node.right, order).inverse()
+    if isinstance(node, dsl.Pow):
+        return reference_evaluate(node.child, order).power(node.exponent)
+    if isinstance(node, dsl.Neg):
+        return -reference_evaluate(node.child, order)
+    if isinstance(node, dsl.Theta):
+        weight = node.weight
+        exponent = node.exponent
+        return theta_series(
+            node.domain,
+            lambda n: dsl._ieval(weight, n),
+            lambda n: dsl._ieval(exponent, n),
+            order,
+        )
+    raise TypeError(f"not a series expression: {node!r}")
+
+
+def outcome(evaluate, text: str, order: int):
+    """The coefficients of `text` at `order`, or the exception's type and message."""
+    try:
+        return list(evaluate(dsl.parse(text), order))
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 def _iter_partitions(n, slots):

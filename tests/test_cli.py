@@ -1,3 +1,5 @@
+import json
+import platform
 import time
 
 import pytest
@@ -152,6 +154,21 @@ class TestExpand:
         assert code == 0
         assert out == "0\n"
 
+    def test_huge_eta_exponent_past_the_digit_limit_exits_2_at_once(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "expand", "poch(q^1, q^1)^" + "9" * 60, "--order", "200")
+        assert time.perf_counter() - started < 2.0
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+
+    def test_eta_to_the_millionth_is_fast(self, capsys):
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "expand", "poch(q^1, q^1)^1000000", "--order", "200")
+        assert time.perf_counter() - started < 1.0
+        assert code == 0
+        assert out.split()[:2] == ["1", "-1000000"]
+
 
 class TestOracle:
     def test_single_function_with_cap(self, capsys):
@@ -193,6 +210,27 @@ class TestBench:
         _, second, _ = run(capsys, "bench", "--order", "40")
         pick = lambda text: [l for l in text.splitlines() if "sha256" in l or "passed" in l]
         assert pick(first) == pick(second)
+
+    def test_json_file_leaves_stdout_alone(self, capsys, tmp_path):
+        pick = lambda text: [l for l in text.splitlines() if "_ms=" not in l]
+        _, plain, _ = run(capsys, "bench", "--order", "40")
+        path = tmp_path / "bench.json"
+        code, out, _ = run(capsys, "bench", "--order", "40", "50", "--json", str(path))
+        assert code == 0
+        blocks = out.split("order=")[1:]
+        assert pick("order=" + blocks[0]) == pick(plain)
+        document = json.loads(path.read_text())
+        assert document["python_version"] == platform.python_version()
+        assert document["cpu_count"] >= 1
+        assert [run_["order"] for run_ in document["runs"]] == [40, 50]
+        first = document["runs"][0]
+        lines = plain.splitlines()
+        for key in ("pod_sha256", "mul_sha256", "verify_passed"):
+            assert f"{key}={first[key]}" in lines
+        for key in ("pod_build_ms", "mul_ms", "verify_ms"):
+            assert first[key] > 0
+        assert len(first["record_seconds"]) == 49
+        assert all(seconds > 0 for seconds in first["record_seconds"].values())
 
     # Recorded before the series kernels were replaced; any change to the
     # arithmetic that moves a single coefficient moves these hashes.
