@@ -3,8 +3,9 @@
 The package computes with truncated formal power series over the
 integers, with no rounding anywhere.  It provides:
 
-- :mod:`podium.series`: the exact series ring (Cauchy products, inverses,
-  substitutions, Pochhammer products);
+- :mod:`podium.series`: the exact series ring (Kronecker-substitution
+  products, Newton inverses, substitutions, Pochhammer products and the
+  sparse eta-quotient kernels);
 - :mod:`podium.theta`: the evaluator of theta-type sums;
 - :mod:`podium.partitions`: sixteen partition-counting functions, each
   with a product form (identity-language text) and an independent

@@ -18,11 +18,14 @@ Grammar (whitespace-insensitive)::
 
 "^" binds tightest, then "*" and "/" (left-associative), then "+" and
 "-".  Unary minus binds tighter than "*".  INT and UINT are ASCII digits
-0-9 only.  A theta body's "+", "-", "*" and integers build the same Add,
-Sub, Mul and IntLit nodes as the series grammar; "div" is exact integer
-division and errors on any remainder, and "ceil2" is the mathematical
-ceiling of half.  Parse errors carry the byte offset of the offending
-token and the set of tokens that would have been accepted.
+0-9 only.  A token is a run of such digits, a word (a letter or "_", then
+letters, digits or "_") or one symbol of -+*/^(){},; and only space,
+tab, CR and LF may separate tokens.  A theta body's "+", "-", "*" and
+integers build the same Add, Sub, Mul and IntLit nodes as the series
+grammar; "div" is exact integer division and errors on any remainder,
+and "ceil2" is the mathematical ceiling of half.  Parse errors carry the
+byte offset of the offending token and the set of tokens that would have
+been accepted.
 
 Text is untrusted, so a tree deeper than MAX_DEPTH levels is a parse
 error: each operator, "^", unary minus, bracket, "subst", "theta", "ceil2"
@@ -57,6 +60,8 @@ gains nothing measurable there.
 
 from __future__ import annotations
 
+import re
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Optional, Tuple, Union
@@ -198,46 +203,30 @@ Expr = Union[IntLit, QPow, Poch, GfRef, Subst, Add, Sub, Mul, Div, Pow, Neg, The
 # lexer
 # ----------------------------------------------------------------------
 
-_SYMBOLS = set("+-*/^(){},;")
-_DIGITS = set("0123456789")  # not str.isdigit, which takes "²" and "٣" too
+# Whitespace, then an ASCII integer, a word or a symbol; the group that
+# matched is the token's kind.  Nothing matched means end of input or an
+# unexpected character.
+_TOKEN = re.compile(r"[ \t\r\n]*(?:(?P<int>[0-9]+)|(?P<name>\w+)|(?P<sym>[-+*/^(){},;]))?")
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "int" | "name" | "sym" | "end"
-    text: str
-    offset: int
+Token = namedtuple("Token", "kind text offset")  # kind: "int" | "name" | "sym" | "end"
 
 
 def tokenize(text: str) -> list:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(Token("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("name", text[i:j], i))
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token("sym", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("end", "", n))
+    pos = 0
+    while True:
+        match = _TOKEN.match(text, pos)
+        kind, pos = match.lastgroup, match.end()
+        if kind is None:
+            break
+        word = match[kind]
+        if kind == "name" and not (word[0].isalpha() or word[0] == "_"):
+            pos = match.start(kind)  # a digit that is not ASCII, such as "²"
+            break
+        tokens.append(Token(kind, word, match.start(kind)))
+    if pos < len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    tokens.append(Token("end", "", pos))
     return tokens
 
 
@@ -249,6 +238,7 @@ class _Parser:
     # `height` is the height of the tree the last parse_* call returned
     # (leaves 0); `nesting` counts the levels still open, so deep text is
     # refused on the way down, before the parser's own recursion is deep.
+    # Tokens are matched by text alone: no two kinds of token share one.
 
     def __init__(self, text: str):
         self.tokens = tokenize(text)
@@ -280,28 +270,25 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def at_sym(self, *texts) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text in texts
-
-    def at_name(self, *texts) -> bool:
-        tok = self.peek()
-        return tok.kind == "name" and (not texts or tok.text in texts)
+    def at(self, *texts) -> bool:
+        return self.tokens[self.pos].text in texts
 
     def fail(self, expected: Tuple[str, ...]):
         tok = self.peek()
         got = repr(tok.text) if tok.kind != "end" else "end of input"
         raise ParseError(f"unexpected {got}", tok.offset, expected)
 
-    def expect_sym(self, text: str) -> Token:
-        if not self.at_sym(text):
+    def expect(self, text: str) -> Token:
+        if not self.at(text):
             self.fail((repr(text),))
         return self.advance()
 
-    def expect_name(self, text: str) -> Token:
-        if not self.at_name(text):
-            self.fail((repr(text),))
-        return self.advance()
+    def sign(self) -> int:
+        """-1 after an optional "-", which is consumed, else 1."""
+        if self.at("-"):
+            self.advance()
+            return -1
+        return 1
 
     def expect_int(self, minimum: int = 0) -> int:
         tok = self.peek()
@@ -317,14 +304,13 @@ class _Parser:
         return value
 
     def expect_q_power(self, minimum: int = 1) -> int:
-        self.expect_name("q")
-        self.expect_sym("^")
+        self.expect("q")
+        self.expect("^")
         return self.expect_int(minimum)
 
     def chain(self, operand, ops) -> Expr:
         """Parse `operand (op right)*` left-associatively.  `ops` maps each
-        operator's text (no other kind of token has it) to its node class
-        and the parser of its right side."""
+        operator's text to its node class and the parser of its right side."""
         node = operand()
         while self.peek().text in ops:
             left, op = self.height, self.advance()
@@ -348,14 +334,9 @@ class _Parser:
 
     def parse_factor(self) -> Expr:
         node = self.parse_base()
-        if self.at_sym("^"):
+        if self.at("^"):
             self.height = self.deeper(self.advance(), self.height)
-            negative = False
-            if self.at_sym("-"):
-                self.advance()
-                negative = True
-            k = self.expect_int()
-            node = Pow(node, -k if negative else k)
+            node = Pow(node, self.sign() * self.expect_int())
         return node
 
     def parse_base(self) -> Expr:
@@ -363,40 +344,37 @@ class _Parser:
         self.height = 0
         if tok.kind == "int":
             return IntLit(self.expect_int())
-        if self.at_sym("-"):
+        if self.at("-"):
             return Neg(self.nested(self.advance(), self.parse_base))
-        if self.at_sym("("):
+        if self.at("("):
             node = self.nested(self.advance(), self.parse_expr)
-            self.expect_sym(")")
+            self.expect(")")
             return node
-        if self.at_name("q"):
+        if self.at("q"):
             return QPow(self.expect_q_power())
-        if self.at_name("poch"):
+        if self.at("poch"):
             return self.parse_poch()
-        if self.at_name("gf"):
+        if self.at("gf"):
             return self.parse_gfref()
-        if self.at_name("subst"):
+        if self.at("subst"):
             return self.parse_subst()
-        if self.at_name("theta"):
+        if self.at("theta"):
             return self.parse_theta()
         self.fail(("integer", "'q'", "'poch'", "'gf'", "'subst'", "'theta'", "'('", "'-'"))
 
     def parse_poch(self) -> Expr:
-        self.expect_name("poch")
-        self.expect_sym("(")
-        sign = 1
-        if self.at_sym("-"):
-            self.advance()
-            sign = -1
+        self.expect("poch")
+        self.expect("(")
+        sign = self.sign()
         a = self.expect_q_power()
-        self.expect_sym(",")
+        self.expect(",")
         b = self.expect_q_power()
-        self.expect_sym(")")
+        self.expect(")")
         return Poch(sign, a, b)
 
     def parse_gfref(self) -> Expr:
-        self.expect_name("gf")
-        self.expect_sym("(")
+        self.expect("gf")
+        self.expect("(")
         tok = self.peek()
         if tok.kind != "name":
             self.fail(("function name",))
@@ -408,42 +386,39 @@ class _Parser:
                 f"unknown gf name {tok.text!r}", tok.offset, (known,)
             ) from None
         self.advance()
-        self.expect_sym(")")
+        self.expect(")")
         return GfRef(fid)
 
     def parse_subst(self) -> Expr:
-        tok = self.expect_name("subst")
-        self.expect_sym("(")
+        tok = self.expect("subst")
+        self.expect("(")
         child = self.nested(tok, self.parse_expr)
-        self.expect_sym(",")
-        sign = 1
-        if self.at_sym("-"):
-            self.advance()
-            sign = -1
+        self.expect(",")
+        sign = self.sign()
         k = self.expect_q_power()
-        self.expect_sym(")")
+        self.expect(")")
         return Subst(child, k, sign)
 
     def parse_theta(self) -> Expr:
-        theta = self.expect_name("theta")
-        self.expect_sym("{")
+        theta = self.expect("theta")
+        self.expect("{")
         tok = self.peek()
         if tok.kind != "name":
             self.fail(("variable name",))
         var = self.advance().text
-        self.expect_name("in")
-        if not self.at_name("Z", "N"):
+        self.expect("in")
+        if not self.at("Z", "N"):
             self.fail(("'Z'", "'N'"))
         domain = Domain(self.advance().text)
-        self.expect_sym("}")
-        self.expect_sym("(")
+        self.expect("}")
+        self.expect("(")
         self.var = var
         weight = self.nested(theta, self.parse_iexpr)
         weight_height = self.height
-        self.expect_sym(";")
+        self.expect(";")
         exponent = self.nested(theta, self.parse_iexpr)
         self.height = max(weight_height, self.height)
-        self.expect_sym(")")
+        self.expect(")")
         return Theta(domain, var, weight, exponent)
 
     # ---- integer expressions inside theta, in the variable self.var ----
@@ -462,11 +437,11 @@ class _Parser:
         self.height = 0
         if tok.kind == "int":
             return IntLit(self.expect_int())
-        if self.at_name("ceil2"):
+        if self.at("ceil2"):
             self.advance()
-            self.expect_sym("(")
+            self.expect("(")
             node = self.nested(tok, self.parse_iexpr)
-            self.expect_sym(")")
+            self.expect(")")
             return ICeil2(node)
         if tok.kind == "name":
             if tok.text != self.var:
@@ -475,23 +450,22 @@ class _Parser:
                 )
             self.advance()
             return IVar(tok.text)
-        if self.at_sym("("):
+        if self.at("("):
             # "(-1)^(...)" is the only construct that may open with "(-"
             self.advance()
-            if self.at_sym("-"):
+            if self.at("-"):
                 minus = self.advance()
-                one = self.peek()
-                if one.kind != "int" or one.text != "1":
+                if not self.at("1"):
                     raise ParseError("only (-1)^(...) may begin with '(-'", minus.offset)
                 self.advance()
-                self.expect_sym(")")
-                self.expect_sym("^")
-                self.expect_sym("(")
+                self.expect(")")
+                self.expect("^")
+                self.expect("(")
                 node = self.nested(tok, self.parse_iexpr)
-                self.expect_sym(")")
+                self.expect(")")
                 return ISignPow(node)
             node = self.nested(tok, self.parse_iexpr)
-            self.expect_sym(")")
+            self.expect(")")
             return node
         self.fail(("integer", "variable", "'ceil2'", "'(-1)'", "'('"))
 
@@ -582,7 +556,8 @@ _ONE = IntLit(1)
 
 
 @lru_cache(maxsize=None)
-def _product_form(fid: "partitions.FunctionId") -> Expr:
+def product_form(fid: "partitions.FunctionId") -> Expr:
+    """The parsed product form of a counting function, parsed once."""
     return parse(partitions.PRODUCT_FORMS[fid])
 
 
@@ -594,7 +569,7 @@ def _lower(node: Expr) -> Tuple[Etas, Optional[Expr]]:
         etas = _poch_etas(node.sign, node.a, node.b)
         return ({}, node) if etas is None else (etas, None)
     if isinstance(node, GfRef):
-        return _lower(_product_form(node.fid))
+        return _lower(product_form(node.fid))
     if isinstance(node, Subst):
         etas, rest = _lower(node.child)
         if rest is not None and rest is not node.child:

@@ -9,6 +9,7 @@ each partition function's product form against its enumeration oracle.
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -53,13 +54,14 @@ class IdentityRecord:
 
 _KNOWN_KEYS = ("id", "desc", "ref", "quote", "lhs", "rhs", "order", "mod")
 _REQUIRED_KEYS = ("id", "lhs", "rhs", "order")
+# Anything but tab, the line breaks CR and LF, and the printable ASCII
+# 0x20-0x7e: a control character could reach the terminal verbatim, and
+# a form feed or vertical tab would be a line break to str.splitlines.
+_NOT_PRINTABLE = re.compile(r"[^\t\n\r -~]")
 
 
 def parse_manifest(text: str, source: str = "<manifest>") -> Tuple[IdentityRecord, ...]:
     """Parse manifest text into records, validating every expression."""
-    if not text.isascii():
-        raise ManifestError("manifest must be 7-bit printable", source, 0)
-
     records = []
     seen_ids = set()
     fields: Optional[Dict[str, str]] = None
@@ -111,7 +113,10 @@ def parse_manifest(text: str, source: str = "<manifest>") -> Tuple[IdentityRecor
         )
         fields = None
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines(keepends=True)
+    for line_no, raw in enumerate(lines, start=1):
+        if _NOT_PRINTABLE.search(raw):
+            raise ManifestError("manifest must be 7-bit printable", source, line_no)
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -131,13 +136,15 @@ def parse_manifest(text: str, source: str = "<manifest>") -> Tuple[IdentityRecor
         if key in fields:
             raise ManifestError(f"duplicate key {key!r}", source, line_no)
         fields[key] = value.strip()
-    flush(len(text.splitlines()) + 1)
+    flush(len(lines) + 1)
     return tuple(records)
 
 
 def load_manifest(path: str) -> Tuple[IdentityRecord, ...]:
     """Read and parse a manifest file."""
-    with open(path, "r", encoding="ascii") as handle:
+    # Latin-1 decodes every byte, so a byte past 7 bits reaches the
+    # printable check and is reported with its line, not as a decode error.
+    with open(path, "r", encoding="latin-1") as handle:
         return parse_manifest(handle.read(), source=path)
 
 

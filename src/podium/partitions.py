@@ -1,12 +1,12 @@
 """The partition-counting functions, each realized two independent ways.
 
 Every function has a closed product form, a line of identity-language
-text in :data:`PRODUCT_FORMS` that :func:`gf_series` evaluates through
-:func:`podium.dsl.expand`, and a brute-force combinatorial count,
-:func:`count_by_enumeration`, that generates the defining objects one by
-one.  The two paths share no code beyond integer arithmetic, so each one
-is an oracle for the other; the oracle suite in :mod:`podium.manifest`
-compares them coefficient by coefficient.
+text in :data:`PRODUCT_FORMS` that :func:`gf_series` evaluates from its
+one parse, :func:`podium.dsl.product_form`, and a brute-force
+combinatorial count, :func:`count_by_enumeration`, that generates the
+defining objects one by one.  The two paths share no code beyond integer
+arithmetic, so each one is an oracle for the other; the oracle suite in
+:mod:`podium.manifest` compares them coefficient by coefficient.
 
 The count comes from one depth-first walk per (function, limit) that
 visits every object of total <= limit exactly once, the classical
@@ -136,7 +136,7 @@ PRODUCT_FORMS = {
 @lru_cache(maxsize=64)
 def gf_series(fid: FunctionId, order: int) -> Series:
     """Generating series of `fid` truncated at `order`, via its product form."""
-    return dsl.expand(PRODUCT_FORMS[fid], order)
+    return dsl.evaluate(dsl.product_form(fid), order)
 
 
 def table(fid: FunctionId, nmax: int) -> list:

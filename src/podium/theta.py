@@ -9,8 +9,9 @@ past the truncation order, and aborts if it never does.
 The classical specializations (phi, psi, ...) are identity-language text
 in :data:`podium.dsl.NAMED_THETA`.
 
-Also home to the triangular and generalized pentagonal number helpers that
-index most of those sums.
+Also home to the triangular and generalized pentagonal number helpers,
+kept as public utilities; the sums themselves write their exponents as
+text and call neither.
 """
 
 from __future__ import annotations

@@ -15,6 +15,10 @@ coefficients, or raise the same exception with the same message.
 builds the objects of total exactly n one slot at a time, skipping a slot
 as a branch of its own, and counts them with the function's own rule.
 The single walk behind `count_by_enumeration` must equal it.
+
+`reference_tokenize` is the identity language's old character-by-
+character lexer.  The one-pattern `dsl.tokenize` must give the same
+tokens, or the same ParseError message at the same offset.
 """
 
 import itertools
@@ -102,6 +106,41 @@ def outcome(evaluate, text: str, order: int):
         return list(evaluate(dsl.parse(text), order))
     except ValueError as exc:
         return type(exc), str(exc)
+
+
+def reference_tokenize(text: str) -> list:
+    """One character at a time: ASCII digits make an int, a letter or "_"
+    starts a name that runs over str.isalnum and "_", and only space, tab,
+    CR and LF are skipped."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            i += 1
+            continue
+        if ch in "0123456789":
+            j = i
+            while j < n and text[j] in "0123456789":
+                j += 1
+            tokens.append(dsl.Token("int", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(dsl.Token("name", text[i:j], i))
+            i = j
+            continue
+        if ch in "+-*/^(){},;":
+            tokens.append(dsl.Token("sym", ch, i))
+            i += 1
+            continue
+        raise dsl.ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(dsl.Token("end", "", n))
+    return tokens
 
 
 def _iter_partitions(n, slots):

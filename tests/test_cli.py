@@ -75,6 +75,17 @@ class TestVerify:
         assert err.count("\n") == 1
         assert "too long" in err and "offset 4" in err
 
+    @pytest.mark.parametrize(
+        "raw", [b"\x1b[31m", b"\x07", b"\x00", b"\x0c", b"\x7f", "\u00e9".encode(), b"\xff"]
+    )
+    def test_unprintable_byte_in_manifest_exits_2(self, capsys, tmp_path, raw):
+        bad = tmp_path / "unprintable.txt"
+        bad.write_bytes(b"[identity]\nid=x\nref=" + raw + b"\nlhs=1\nrhs=1\norder=5\n")
+        code, out, err = run(capsys, "verify", "--manifest", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == f"podium: {bad}:3: manifest must be 7-bit printable\n"
+
     def test_missing_manifest_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--manifest", str(tmp_path / "none.txt"))
         assert code == 2

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,11 +28,14 @@ from podium.dsl import (
     expand,
     parse,
     pretty,
+    tokenize,
 )
 from podium.manifest import ManifestError, parse_manifest
 from podium.partitions import FunctionId
 from podium.series import Mismatch, Series, constant, pochhammer
 from podium.theta import Domain
+
+from conftest import reference_tokenize
 
 
 class TestParse:
@@ -104,6 +109,26 @@ class TestParseErrors:
         assert err.value.offset == 2
         assert "unexpected character" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, offset, message",
+        [
+            ("q^x", 2, "unexpected 'x' at offset 2 (expected integer)"),
+            ("gf(1)", 3, "unexpected '1' at offset 3 (expected function name)"),
+            ("theta{n in N}(1; (-2))", 18, "only (-1)^(...) may begin with '(-' at offset 18"),
+            (
+                "theta{n in N}(1; ;)",
+                17,
+                "unexpected ';' at offset 17 (expected integer or variable or 'ceil2'"
+                " or '(-1)' or '(')",
+            ),
+        ],
+    )
+    def test_error_branch(self, text, offset, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.offset == offset
+        assert str(err.value) == message
+
     def test_q_needs_exponent(self):
         with pytest.raises(ParseError):
             parse("q + 1")
@@ -116,6 +141,32 @@ class TestParseErrors:
             with pytest.raises(ParseError) as err:
                 parse(text)
             assert 0 <= err.value.offset <= len(text)
+
+
+def _lexed(lex, text):
+    try:
+        return lex(text)
+    except ParseError as exc:
+        return str(exc), exc.offset
+
+
+# Grammar characters and keywords, letters and digits outside ASCII (two
+# of them, "Ⅷ" and "½", numeric but not decimal), and whitespace the
+# language does and does not skip.
+_LEX_ALPHABET = (
+    list(" +-*/^(){},;0123456789qn_")
+    + "poch gf subst theta in Z N div ceil2".split()
+    + list("\u00e9\u03a9\u00b2\u0663\u2167\u00bd")
+    + list("\t\r\n\x0b\x0c\xa0")
+)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tokenize_matches_the_character_loop(seed):
+    rng = random.Random(seed)
+    for _ in range(2500):
+        text = "".join(rng.choice(_LEX_ALPHABET) for _ in range(rng.randint(0, 12)))
+        assert _lexed(tokenize, text) == _lexed(reference_tokenize, text), repr(text)
 
 
 class TestEvaluate:

@@ -98,6 +98,17 @@ class TestParseManifest:
         with pytest.raises(ManifestError):
             parse_manifest("[identity]\nid=démo\nlhs=1\nrhs=1\norder=1\n")
 
+    @pytest.mark.parametrize("char", ["\x1b", "\x07", "\x00", "\x0c", "\x7f", "\u00e9", "\xff"])
+    def test_unprintable_character_names_its_line(self, char):
+        text = GOOD.replace("ref=nowhere", f"ref=now{char}here")
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(text)
+        assert str(err.value) == "<manifest>:6: manifest must be 7-bit printable"
+
+    def test_tab_inside_a_value_is_accepted(self):
+        (rec,) = parse_manifest(GOOD.replace("desc=demo record", "desc=demo\trecord"))
+        assert rec.description == "demo\trecord"
+
     def test_bad_order(self):
         with pytest.raises(ManifestError):
             parse_manifest(GOOD.replace("order=10", "order=ten"))
@@ -105,6 +116,20 @@ class TestParseManifest:
     def test_bad_modulus(self):
         with pytest.raises(ManifestError):
             parse_manifest(GOOD + "mod=1\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (GOOD.replace("order=10", "order=-1"), "<manifest>:3: order= must be >= 0"),
+            (GOOD + "mod=x\n", "<manifest>:3: mod= must be an integer"),
+            ("id=x\n" + GOOD, "<manifest>:1: key=value outside any [identity] record"),
+            (GOOD + "lhs=2\n", "<manifest>:11: duplicate key 'lhs'"),
+        ],
+    )
+    def test_error_branch(self, text, message):
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(text)
+        assert str(err.value) == message
 
 
 class TestRunSuite:
