@@ -38,6 +38,7 @@ from .partitions import (
 )
 from .dsl import EvalError, ParseError, check, evaluate, expand, named_theta, parse, pretty
 from .manifest import (
+    MAX_ORDER,
     IdentityRecord,
     ManifestError,
     SuiteEntry,
@@ -60,6 +61,7 @@ __all__ = [
     "FunctionId",
     "HARD_CAPS",
     "IdentityRecord",
+    "MAX_ORDER",
     "ManifestError",
     "Mismatch",
     "ParseError",

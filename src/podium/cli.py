@@ -3,8 +3,9 @@
 Commands: compute, verify, expand, oracle, bench.  Results go to standard
 output (or --out PATH), diagnostics to standard error.  Exit codes are a
 stable contract for CI: 0 success or all-pass, 1 verification failure,
-2 usage or parse error.  PODIUM_ORDER sets the default truncation order;
-an explicit --order flag wins.
+2 usage or parse error, an order past MAX_ORDER or an unwritable output
+path.  PODIUM_ORDER sets the default truncation order; an explicit
+--order flag wins.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Optional
 from . import __version__
 from .dsl import parse, evaluate
 from .manifest import (
+    MAX_ORDER,
     ManifestError,
     bundled_manifest,
     load_manifest,
@@ -42,16 +44,30 @@ def nonneg_int(text: str) -> int:
     return value
 
 
+def bounded_order(value: int, name: str) -> int:
+    """`value` if it is at most MAX_ORDER; past it, one stderr line and exit 2."""
+    if value > MAX_ORDER:
+        print(f"podium: {name}={value}: must be <= {MAX_ORDER}", file=sys.stderr)
+        raise SystemExit(2)
+    return value
+
+
 def default_order() -> int:
     """PODIUM_ORDER if set, else FALLBACK_ORDER; a bad value is a usage error."""
     env = os.environ.get("PODIUM_ORDER")
     if env is None:
         return FALLBACK_ORDER
     try:
-        return nonneg_int(env)
+        value = nonneg_int(env)
     except argparse.ArgumentTypeError as exc:
         print(f"podium: PODIUM_ORDER={env!r}: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
+    return bounded_order(value, "PODIUM_ORDER")
+
+
+def resolve_order(flag: Optional[int]) -> int:
+    """The --order flag if given, else default_order(); both under MAX_ORDER."""
+    return default_order() if flag is None else bounded_order(flag, "--order")
 
 
 def _emit(text: str, out_path: Optional[str]):
@@ -81,7 +97,7 @@ def _format_values(name: str, values, fmt: str) -> str:
 
 def cmd_compute(args) -> int:
     fid = FunctionId.from_name(args.function)
-    values = table(fid, args.nmax)
+    values = table(fid, bounded_order(args.nmax, "NMAX"))
     _emit(_format_values(fid.value, values, args.format), args.out)
     return 0
 
@@ -89,7 +105,7 @@ def cmd_compute(args) -> int:
 def cmd_verify(args) -> int:
     try:
         records = bundled_manifest() if args.manifest is None else load_manifest(args.manifest)
-    except (ManifestError, OSError) as exc:
+    except ManifestError as exc:
         print(f"podium: {exc}", file=sys.stderr)
         return 2
     if args.id is not None:
@@ -97,7 +113,7 @@ def cmd_verify(args) -> int:
         if not records:
             print(f"podium: no identity with id {args.id!r}", file=sys.stderr)
             return 2
-    order = args.order if args.order is not None else default_order()
+    order = resolve_order(args.order)
     report = run_suite(records, order=order)
     _emit("\n".join(report.lines()) + "\n", args.out)
     print(f"({report.seconds:.2f}s)", file=sys.stderr)
@@ -105,7 +121,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    order = args.order if args.order is not None else default_order()
+    order = resolve_order(args.order)
     try:
         # str() of a coefficient past the int-to-string digit limit raises too
         text = " ".join(str(c) for c in evaluate(parse(args.expression), order))
@@ -162,7 +178,7 @@ def _bench_run(order: int) -> dict:
 
 
 def cmd_bench(args) -> int:
-    orders = args.order if args.order is not None else [default_order()]
+    orders = [resolve_order(order) for order in args.order or [None]]
     runs = []
     for order in orders:
         run = _bench_run(order)
@@ -242,7 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        # an unreadable manifest or an unwritable --out or --json path
+        print(f"podium: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,6 +25,14 @@ from .partitions import (
 )
 
 
+# The largest truncation order accepted from outside: a manifest's
+# order=, and the command line's --order, NMAX and PODIUM_ORDER.  The
+# bundled records use at most 300; gf(pod) checked against its product
+# form takes about 15 s and 60 MB at this order (whole process, 2-core
+# host, CPython 3.11), so a larger request is refused before any work.
+MAX_ORDER = 100_000
+
+
 class ManifestError(ValueError):
     """A manifest file could not be parsed or validated."""
 
@@ -84,6 +92,8 @@ def parse_manifest(text: str, source: str = "<manifest>") -> Tuple[IdentityRecor
             raise ManifestError("order= must be an integer", source, start_line) from None
         if order < 0:
             raise ManifestError("order= must be >= 0", source, start_line)
+        if order > MAX_ORDER:
+            raise ManifestError(f"order= must be <= {MAX_ORDER}", source, start_line)
         modulus = None
         if "mod" in fields:
             try:

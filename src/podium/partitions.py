@@ -14,9 +14,11 @@ one-object-per-step partition generation (Knuth, TAOCP vol. 4A,
 §7.2.1.4), and adds its weight at its own total.  The per-total table is
 cached, so checking f(0..cap) one n at a time costs a single walk.
 
-Enumeration is exponential in spirit, so each function carries a default
-cap and a hard ceiling past which it refuses to run; a refused call
-generates nothing.
+Each function's oracle is one row of data: a rule giving the allowed
+part sizes with their multiplicity bound and colors, a weight, an
+optional filter, and, since enumeration is exponential in spirit, a
+default cap and a hard ceiling past which it refuses to run; a refused
+call generates nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from . import dsl
 # pochhammer is not called here, but benchmark/test_benchmark.py checks this binding
@@ -63,47 +65,6 @@ class FunctionId(enum.Enum):
                 return fid
         known = ", ".join(f.value for f in cls)
         raise ValueError(f"unknown function {name!r}; known: {known}")
-
-
-# Caps keep the exhaustive counts to seconds; the hard ceilings block
-# accidental exponential blowups even when a caller overrides the cap.
-DEFAULT_CAPS = {
-    FunctionId.P: 35,
-    FunctionId.POD: 35,
-    FunctionId.PED: 35,
-    FunctionId.QDIST: 35,
-    FunctionId.QODD: 35,
-    FunctionId.PEO: 35,
-    FunctionId.QEO: 35,
-    FunctionId.P2MOD4: 35,
-    FunctionId.EO: 35,
-    FunctionId.EOBAR: 35,
-    FunctionId.OPBAR: 22,
-    FunctionId.OPODD: 22,
-    FunctionId.AFUN: 22,
-    FunctionId.CUBIC: 22,
-    FunctionId.QODD3: 22,
-    FunctionId.P3: 18,
-}
-
-HARD_CAPS = {
-    FunctionId.P: 60,
-    FunctionId.POD: 60,
-    FunctionId.PED: 60,
-    FunctionId.QDIST: 60,
-    FunctionId.QODD: 60,
-    FunctionId.PEO: 60,
-    FunctionId.QEO: 60,
-    FunctionId.P2MOD4: 60,
-    FunctionId.EO: 60,
-    FunctionId.EOBAR: 60,
-    FunctionId.OPBAR: 30,
-    FunctionId.OPODD: 30,
-    FunctionId.AFUN: 30,
-    FunctionId.CUBIC: 30,
-    FunctionId.QODD3: 30,
-    FunctionId.P3: 24,
-}
 
 
 # ----------------------------------------------------------------------
@@ -148,37 +109,13 @@ def table(fid: FunctionId, nmax: int) -> list:
 # enumeration oracles
 # ----------------------------------------------------------------------
 #
-# Each function's objects are built from "slots": (size, max multiplicity)
-# pairs in descending size order.  A c-colored part value appears as c
-# slots of the same size, so color-multiplicity splits are enumerated
-# explicitly.
+# Each function's oracle is one row of _RULES.  Its objects are built from
+# "slots": (size, max multiplicity) pairs in descending size order.  A
+# c-colored part value appears as c slots of the same size, so
+# color-multiplicity splits are enumerated explicitly.
 
 Slots = list
 Parts = tuple  # tuple of (size, multiplicity), multiplicity >= 1
-
-
-def _slots_plain(n, allow=None, cap=None, colors=1):
-    out = []
-    for v in range(n, 0, -1):
-        if allow is not None and not allow(v):
-            continue
-        out.extend([(v, cap)] * colors)
-    return out
-
-
-def _slots_pod(n):
-    return [(v, 1 if v % 2 else None) for v in range(n, 0, -1)]
-
-
-def _slots_ped(n):
-    return [(v, None if v % 2 else 1) for v in range(n, 0, -1)]
-
-
-def _slots_two_colored_even(n):
-    out = []
-    for v in range(n, 0, -1):
-        out.extend([(v, None)] * (2 if v % 2 == 0 else 1))
-    return out
 
 
 def _weight_one(parts):
@@ -213,34 +150,57 @@ def _keep_eobar(parts):
 
 @dataclass(frozen=True)
 class _Rule:
-    slots: Callable[[int], Slots]
+    """One function's oracle as data.
+
+    `cap` is the default enumeration bound and `ceiling` the hard one:
+    caps keep the exhaustive counts to seconds, and the ceiling blocks an
+    accidental exponential blowup even when a caller overrides the cap.
+    `part(v)` gives (max multiplicity or None, colors) for an allowed part
+    size v, else None; by default every size is allowed, uncolored and
+    unbounded.
+    """
+
+    cap: int
+    ceiling: int
+    part: Callable[[int], Optional[Tuple[Optional[int], int]]] = lambda v: (None, 1)
     weight: Callable[[Parts], int] = _weight_one
     keep: Optional[Callable[[Parts], bool]] = None
     overlined: bool = False
 
+    def slots(self, n: int) -> Slots:
+        """The slots of every allowed part size up to n, largest first."""
+        out = []
+        for v in range(n, 0, -1):
+            allowed = self.part(v)
+            if allowed is not None:
+                most, colors = allowed
+                out.extend([(v, most)] * colors)
+        return out
 
+
+# One row per function: default cap, hard ceiling, part rule, then any
+# weight, filter or overlining.  DEFAULT_CAPS and HARD_CAPS read the rows.
 _RULES = {
-    FunctionId.P: _Rule(_slots_plain),
-    FunctionId.POD: _Rule(_slots_pod),
-    FunctionId.PED: _Rule(_slots_ped),
-    FunctionId.QDIST: _Rule(lambda n: _slots_plain(n, cap=1)),
-    FunctionId.QODD: _Rule(lambda n: _slots_plain(n, allow=lambda v: v % 2 == 1, cap=1)),
-    FunctionId.PEO: _Rule(_slots_plain, weight=_weight_alt_parts),
-    FunctionId.QEO: _Rule(lambda n: _slots_plain(n, cap=1), weight=_weight_alt_odd_parts),
-    FunctionId.OPBAR: _Rule(_slots_plain, overlined=True),
-    FunctionId.OPODD: _Rule(
-        lambda n: _slots_plain(n, allow=lambda v: v % 2 == 1), overlined=True
-    ),
-    FunctionId.AFUN: _Rule(_slots_two_colored_even, weight=_weight_alt_parts),
-    FunctionId.CUBIC: _Rule(_slots_two_colored_even),
-    FunctionId.P3: _Rule(lambda n: _slots_plain(n, colors=3)),
-    FunctionId.P2MOD4: _Rule(lambda n: _slots_plain(n, allow=lambda v: v % 4 == 2)),
-    FunctionId.QODD3: _Rule(
-        lambda n: _slots_plain(n, allow=lambda v: v % 2 == 1, cap=1, colors=3)
-    ),
-    FunctionId.EO: _Rule(_slots_plain, keep=_keep_eo),
-    FunctionId.EOBAR: _Rule(_slots_plain, keep=_keep_eobar),
+    FunctionId.P: _Rule(35, 60),
+    FunctionId.POD: _Rule(35, 60, lambda v: (1 if v % 2 else None, 1)),
+    FunctionId.PED: _Rule(35, 60, lambda v: (None if v % 2 else 1, 1)),
+    FunctionId.QDIST: _Rule(35, 60, lambda v: (1, 1)),
+    FunctionId.QODD: _Rule(35, 60, lambda v: (1, 1) if v % 2 else None),
+    FunctionId.PEO: _Rule(35, 60, weight=_weight_alt_parts),
+    FunctionId.QEO: _Rule(35, 60, lambda v: (1, 1), weight=_weight_alt_odd_parts),
+    FunctionId.P2MOD4: _Rule(35, 60, lambda v: (None, 1) if v % 4 == 2 else None),
+    FunctionId.EO: _Rule(35, 60, keep=_keep_eo),
+    FunctionId.EOBAR: _Rule(35, 60, keep=_keep_eobar),
+    FunctionId.OPBAR: _Rule(22, 30, overlined=True),
+    FunctionId.OPODD: _Rule(22, 30, lambda v: (None, 1) if v % 2 else None, overlined=True),
+    FunctionId.AFUN: _Rule(22, 30, lambda v: (None, 1 if v % 2 else 2), weight=_weight_alt_parts),
+    FunctionId.CUBIC: _Rule(22, 30, lambda v: (None, 1 if v % 2 else 2)),
+    FunctionId.QODD3: _Rule(22, 30, lambda v: (1, 3) if v % 2 else None),
+    FunctionId.P3: _Rule(18, 24, lambda v: (None, 3)),
 }
+
+DEFAULT_CAPS = {fid: rule.cap for fid, rule in _RULES.items()}
+HARD_CAPS = {fid: rule.ceiling for fid, rule in _RULES.items()}
 
 
 @lru_cache(maxsize=64)

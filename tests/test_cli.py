@@ -267,6 +267,23 @@ class TestBench:
         assert "verify_passed=49/49" in lines
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "1", "--out", "{missing}/f"],
+            ["compute", "pod", "3", "--out", "{dir}"],
+            ["bench", "--order", "10", "--json", "{missing}/x.json"],
+        ],
+    )
+    def test_exits_2_with_one_line(self, capsys, tmp_path, argv):
+        paths = {"missing": tmp_path / "missing", "dir": tmp_path}
+        code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 2
+        assert err.startswith("podium: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestDefaults:
     def test_env_var_sets_order(self, capsys, monkeypatch):
         monkeypatch.setenv("PODIUM_ORDER", "5")
@@ -290,6 +307,31 @@ class TestDefaults:
             assert captured.out == ""
             assert captured.err.count("\n") == 1
             assert captured.err.startswith(f"podium: PODIUM_ORDER={value!r}")
+
+    @pytest.mark.parametrize(
+        "argv, env, name",
+        [
+            (["expand", "1", "--order", "100001"], None, "--order"),
+            (["verify", "--order", "100001"], None, "--order"),
+            (["bench", "--order", "10", "100001"], None, "--order"),
+            (["compute", "pod", "100001"], None, "NMAX"),
+            (["expand", "1"], "100001", "PODIUM_ORDER"),
+        ],
+    )
+    def test_order_past_the_ceiling_exits_2(self, capsys, monkeypatch, argv, env, name):
+        if env is not None:
+            monkeypatch.setenv("PODIUM_ORDER", env)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"podium: {name}=100001: must be <= 100000\n"
+
+    def test_order_at_the_ceiling_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "expand", "1", "--order", "100000")
+        assert code == 0
+        assert out == "1" + " 0" * 100000 + "\n"
 
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -121,6 +121,10 @@ class TestParseManifest:
         "text, message",
         [
             (GOOD.replace("order=10", "order=-1"), "<manifest>:3: order= must be >= 0"),
+            (
+                GOOD.replace("order=10", "order=100001"),
+                "<manifest>:3: order= must be <= 100000",
+            ),
             (GOOD + "mod=x\n", "<manifest>:3: mod= must be an integer"),
             ("id=x\n" + GOOD, "<manifest>:1: key=value outside any [identity] record"),
             (GOOD + "lhs=2\n", "<manifest>:11: duplicate key 'lhs'"),

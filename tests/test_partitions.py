@@ -28,6 +28,14 @@ class TestNames:
         assert len(DEFAULT_CAPS) == 16
         assert len(HARD_CAPS) == 16
 
+    def test_caps_pinned(self):
+        # a cap one lower or a ceiling one higher still agrees with the
+        # series, so only this table shows such a change
+        names = "p pod ped qdist qodd peo qeo p2mod4 eo eobar opbar opodd afun cubic qodd3 p3"
+        expected = [FunctionId.from_name(name) for name in names.split()]
+        assert list(DEFAULT_CAPS.items()) == list(zip(expected, [35] * 10 + [22] * 5 + [18]))
+        assert list(HARD_CAPS.items()) == list(zip(expected, [60] * 10 + [30] * 5 + [24]))
+
 
 class TestSpotValues:
     # the published single-value checks for each family
