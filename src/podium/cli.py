@@ -52,8 +52,14 @@ def bounded_order(value: int, name: str) -> int:
     return value
 
 
-def default_order() -> int:
-    """PODIUM_ORDER if set, else FALLBACK_ORDER; a bad value is a usage error."""
+def resolve_order(flag: Optional[int]) -> int:
+    """The --order flag, else PODIUM_ORDER, else FALLBACK_ORDER.
+
+    A PODIUM_ORDER that is not a non-negative integer, and either value
+    past MAX_ORDER, is a usage error.
+    """
+    if flag is not None:
+        return bounded_order(flag, "--order")
     env = os.environ.get("PODIUM_ORDER")
     if env is None:
         return FALLBACK_ORDER
@@ -63,11 +69,6 @@ def default_order() -> int:
         print(f"podium: PODIUM_ORDER={env!r}: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
     return bounded_order(value, "PODIUM_ORDER")
-
-
-def resolve_order(flag: Optional[int]) -> int:
-    """The --order flag if given, else default_order(); both under MAX_ORDER."""
-    return default_order() if flag is None else bounded_order(flag, "--order")
 
 
 def _emit(text: str, out_path: Optional[str]):
