@@ -3,9 +3,10 @@
 Commands: compute, verify, expand, oracle, bench.  Results go to standard
 output (or --out PATH), diagnostics to standard error.  Exit codes are a
 stable contract for CI: 0 success or all-pass, 1 verification failure,
-2 usage or parse error, an order past MAX_ORDER or an unwritable output
-path.  PODIUM_ORDER sets the default truncation order; an explicit
---order flag wins.
+2 usage or parse error, an order past MAX_ORDER, an unreadable manifest
+or an unwritable output path.  Only `main` turns an error into exit 2,
+with one "podium: ..." line on standard error.  PODIUM_ORDER sets the
+default truncation order; an explicit --order flag wins.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from . import __version__
 from .dsl import parse, evaluate
 from .manifest import (
     MAX_ORDER,
-    ManifestError,
     bundled_manifest,
     load_manifest,
     run_oracle_suite,
@@ -32,6 +32,13 @@ from .manifest import (
 from .partitions import DEFAULT_CAPS, FunctionId, gf_series, table
 
 FALLBACK_ORDER = 300
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error for main to report, instead of printing usage."""
+
+    def error(self, message: str):
+        raise ValueError(message)
 
 
 def nonneg_int(text: str) -> int:
@@ -45,10 +52,9 @@ def nonneg_int(text: str) -> int:
 
 
 def bounded_order(value: int, name: str) -> int:
-    """`value` if it is at most MAX_ORDER; past it, one stderr line and exit 2."""
+    """`value` if it is at most MAX_ORDER; past it, a ValueError."""
     if value > MAX_ORDER:
-        print(f"podium: {name}={value}: must be <= {MAX_ORDER}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"{name}={value}: must be <= {MAX_ORDER}")
     return value
 
 
@@ -56,7 +62,7 @@ def resolve_order(flag: Optional[int]) -> int:
     """The --order flag, else PODIUM_ORDER, else FALLBACK_ORDER.
 
     A PODIUM_ORDER that is not a non-negative integer, and either value
-    past MAX_ORDER, is a usage error.
+    past MAX_ORDER, is a usage error (ValueError).
     """
     if flag is not None:
         return bounded_order(flag, "--order")
@@ -66,8 +72,7 @@ def resolve_order(flag: Optional[int]) -> int:
     try:
         value = nonneg_int(env)
     except argparse.ArgumentTypeError as exc:
-        print(f"podium: PODIUM_ORDER={env!r}: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        raise ValueError(f"PODIUM_ORDER={env!r}: {exc}") from None
     return bounded_order(value, "PODIUM_ORDER")
 
 
@@ -103,33 +108,26 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    try:
-        records = bundled_manifest() if args.manifest is None else load_manifest(args.manifest)
-    except ManifestError as exc:
-        print(f"podium: {exc}", file=sys.stderr)
-        return 2
-    if args.id is not None:
-        records = [r for r in records if r.id == args.id]
-        if not records:
-            print(f"podium: no identity with id {args.id!r}", file=sys.stderr)
-            return 2
-    order = resolve_order(args.order)
-    report = run_suite(records, order=order)
-    _emit("\n".join(report.lines()) + "\n", args.out)
+def _emit_report(report, out_path: Optional[str]) -> int:
+    """Emit a suite report and its timing line; 0 if every entry passed, else 1."""
+    _emit("\n".join(report.lines()) + "\n", out_path)
     print(f"({report.seconds:.2f}s)", file=sys.stderr)
     return 0 if report.all_pass else 1
 
 
+def cmd_verify(args) -> int:
+    records = bundled_manifest() if args.manifest is None else load_manifest(args.manifest)
+    if args.id is not None:
+        records = [r for r in records if r.id == args.id]
+        if not records:
+            raise ValueError(f"no identity with id {args.id!r}")
+    return _emit_report(run_suite(records, order=resolve_order(args.order)), args.out)
+
+
 def cmd_expand(args) -> int:
-    order = resolve_order(args.order)
-    try:
-        # str() of a coefficient past the int-to-string digit limit raises too
-        text = " ".join(str(c) for c in evaluate(parse(args.expression), order))
-    except ValueError as exc:
-        print(f"podium: {exc}", file=sys.stderr)
-        return 2
-    _emit(text + "\n", args.out)
+    series = evaluate(parse(args.expression), resolve_order(args.order))
+    # str() of a coefficient past the int-to-string digit limit raises ValueError
+    _emit(" ".join(str(c) for c in series) + "\n", args.out)
     return 0
 
 
@@ -141,10 +139,7 @@ def cmd_oracle(args) -> int:
     if args.cap is not None:
         targets = functions if functions is not None else list(FunctionId)
         caps = {fid: args.cap for fid in targets}
-    report = run_oracle_suite(caps=caps, functions=functions)
-    _emit("\n".join(report.lines()) + "\n", args.out)
-    print(f"({report.seconds:.2f}s)", file=sys.stderr)
-    return 0 if report.all_pass else 1
+    return _emit_report(run_oracle_suite(caps=caps, functions=functions), args.out)
 
 
 def _sha256_of(series) -> str:
@@ -207,7 +202,7 @@ def cmd_bench(args) -> int:
 # ----------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="podium",
         description="Exact q-series tables, expansion, and identity verification.",
     )
@@ -258,11 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except OSError as exc:
-        # an unreadable manifest or an unwritable --out or --json path
+    except (ValueError, OSError) as exc:
         print(f"podium: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,9 @@ integers build the same Add, Sub, Mul and IntLit nodes as the series
 grammar; "div" is exact integer division and errors on any remainder,
 and "ceil2" is the mathematical ceiling of half.  Parse errors carry the
 byte offset of the offending token and the set of tokens that would have
-been accepted.
+been accepted.  A theta exponent built without ceil2 and (-1)^ is a
+polynomial in the variable; evaluation refuses one of degree above 2, or
+of degree 2 with a negative leading coefficient.
 
 Text is untrusted, so a tree deeper than MAX_DEPTH levels is a parse
 error: each operator, "^", unary minus, bracket, "subst", "theta", "ceil2"
@@ -510,6 +512,63 @@ def _ieval(node: IExpr, value: int) -> int:
     raise TypeError(f"not an integer expression: {node!r}")
 
 
+def _polynomial(node: IExpr) -> Optional[Tuple[list, int]]:
+    """A theta body built from integers, the variable, "+", "-", "*" and
+    "div" as (c, d): the polynomial sum_i c[i] n^i / d, with d >= 1.  None
+    if the body uses ceil2 or (-1)^."""
+    if isinstance(node, IntLit):
+        return [node.value], 1
+    if isinstance(node, IVar):
+        return [0, 1], 1
+    if isinstance(node, IDiv):
+        child = _polynomial(node.child)
+        return None if child is None else (child[0], child[1] * node.divisor)
+    if not isinstance(node, (Add, Sub, Mul)):
+        return None
+    left = _polynomial(node.left)
+    right = None if left is None else _polynomial(node.right)
+    if right is None:
+        return None
+    (p, d), (r, e) = left, right
+    if isinstance(node, Mul):
+        out = [0] * (len(p) + len(r) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(r):
+                out[i + j] += a * b
+        return out, d * e
+    sign = 1 if isinstance(node, Add) else -1
+    out = [0] * max(len(p), len(r))
+    for i, a in enumerate(p):
+        out[i] += a * e
+    for j, b in enumerate(r):
+        out[j] += sign * b * d
+    return out, d * e
+
+
+def _check_exponent(exponent: IExpr):
+    """Refuse a polynomial theta exponent that the scan would sum wrongly.
+
+    The scan in podium.theta stops at the first exponent above the order
+    that is not below the one before; that is exact only if the exponent
+    never turns downward after it.  A quadratic with a positive leading
+    coefficient never does; a falling line is refused by the scan when it
+    turns negative, and a constant at or below the order when the scan
+    runs out.  A falling quadratic or any higher degree is refused here.
+    Bodies with ceil2 or (-1)^ are left to the scan.
+    """
+    poly = _polynomial(exponent)
+    if poly is None:
+        return
+    coeffs = poly[0]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    degree = len(coeffs) - 1
+    if degree > 2:
+        raise EvalError(f"theta exponent has degree {degree}; it must be at most 2")
+    if degree == 2 and coeffs[2] < 0:
+        raise EvalError("theta exponent is a quadratic that falls without bound")
+
+
 # ----------------------------------------------------------------------
 # eta-quotient normal form
 # ----------------------------------------------------------------------
@@ -656,6 +715,7 @@ def evaluate(node: Expr, order: int) -> Series:
     if isinstance(node, Theta):
         weight = node.weight
         exponent = node.exponent
+        _check_exponent(exponent)
         return theta_series(
             node.domain,
             lambda n: _ieval(weight, n),

@@ -75,7 +75,7 @@ def parse_manifest(text: str, source: str = "<manifest>") -> Tuple[IdentityRecor
     fields: Optional[Dict[str, str]] = None
     start_line = 0
 
-    def flush(end_line: int):
+    def flush():
         nonlocal fields
         if fields is None:
             return
@@ -131,7 +131,7 @@ def parse_manifest(text: str, source: str = "<manifest>") -> Tuple[IdentityRecor
         if not line or line.startswith("#"):
             continue
         if line == "[identity]":
-            flush(line_no)
+            flush()
             fields = {}
             start_line = line_no
             continue
@@ -146,7 +146,7 @@ def parse_manifest(text: str, source: str = "<manifest>") -> Tuple[IdentityRecor
         if key in fields:
             raise ManifestError(f"duplicate key {key!r}", source, line_no)
         fields[key] = value.strip()
-    flush(len(lines) + 1)
+    flush()
     return tuple(records)
 
 

@@ -24,7 +24,6 @@ call generates nothing.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Tuple
@@ -223,12 +222,8 @@ def _enumeration_table(fid: FunctionId, limit: int) -> tuple:
     def visit(parts: Parts, start: int, total: int):
         if keep is None or keep(parts):
             w = weight(parts)
-            if overlined:
-                # each distinct part value may or may not be overlined
-                for _ in itertools.product((False, True), repeat=len(parts)):
-                    counts[total] += w
-            else:
-                counts[total] += w
+            # each distinct part value may or may not be overlined
+            counts[total] += w << len(parts) if overlined else w
         remaining = limit - total
         first = first_fit[remaining]
         for i in range(start if start > first else first, n_slots):

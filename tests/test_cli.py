@@ -33,10 +33,9 @@ class TestCompute:
         assert out.splitlines()[-1].split() == ["4", "5"]
 
     def test_unknown_function_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["compute", "nosuch", "4"])
-        assert err.value.code == 2
-        assert "pod" in capsys.readouterr().err
+        code, _, err = run(capsys, "compute", "nosuch", "4")
+        assert code == 2
+        assert "pod" in err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "pod.csv"
@@ -300,13 +299,11 @@ class TestDefaults:
     def test_bad_env_var(self, capsys, monkeypatch):
         for value in ("many", "-5"):
             monkeypatch.setenv("PODIUM_ORDER", value)
-            with pytest.raises(SystemExit) as err:
-                main(["expand", "gf(p)"])
-            assert err.value.code == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.count("\n") == 1
-            assert captured.err.startswith(f"podium: PODIUM_ORDER={value!r}")
+            code, out, err = run(capsys, "expand", "gf(p)")
+            assert code == 2
+            assert out == ""
+            assert err.count("\n") == 1
+            assert err.startswith(f"podium: PODIUM_ORDER={value!r}")
 
     @pytest.mark.parametrize(
         "argv, env, name",
@@ -321,12 +318,10 @@ class TestDefaults:
     def test_order_past_the_ceiling_exits_2(self, capsys, monkeypatch, argv, env, name):
         if env is not None:
             monkeypatch.setenv("PODIUM_ORDER", env)
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"podium: {name}=100001: must be <= 100000\n"
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"podium: {name}=100001: must be <= 100000\n"
 
     def test_order_at_the_ceiling_is_accepted(self, capsys):
         code, out, _ = run(capsys, "expand", "1", "--order", "100000")
@@ -334,6 +329,38 @@ class TestDefaults:
         assert out == "1" + " 0" * 100000 + "\n"
 
     def test_missing_subcommand_exits_2(self, capsys):
+        code, _, _ = run(capsys)
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "1", "--order", "-5"],
+            ["verify", "--order", "many"],
+            ["compute", "pod", "x"],
+            ["compute", "pod", "-1"],
+            ["compute", "nosuch", "4"],
+            ["oracle", "--function", "nosuch"],
+            [],
+            ["frobnicate"],
+            ["verify", "--frobnicate"],
+            ["expand", "1", "2"],
+            ["--frobnicate"],
+        ],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("podium: ") and err.count("\n") == 1
+
+    def test_usage_error_names_the_argument(self, capsys):
+        _, _, err = run(capsys, "expand", "1", "--order", "-5")
+        assert err == "podium: argument --order: must be >= 0\n"
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
         with pytest.raises(SystemExit) as err:
-            main([])
-        assert err.value.code == 2
+            main([flag])
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith(("usage: podium", "podium "))

@@ -216,6 +216,94 @@ class TestEvaluate:
         assert big.truncate(25) == small
 
 
+# Theta exponents the scan would sum wrongly: one falls without bound, the
+# other is negative at n = 11..19; both once expanded to "1 0 0 ..." at order 10.
+WRONGLY_SCANNED = [
+    "theta{n in N}(1; 100*n - n*n)",
+    "theta{n in N}(1; n*n*n - 30*n*n + 200*n)",
+]
+
+WEIGHTS = {
+    "1": lambda n: 1,
+    "(-1)^(n)": lambda n: -1 if n % 2 else 1,
+    "2*n+1": lambda n: 2 * n + 1,
+    "n*n - 3": lambda n: n * n - 3,
+}
+
+
+def _signed(k: int) -> str:
+    return f"+ {k}" if k >= 0 else f"- {-k}"
+
+
+class TestThetaExponent:
+    @pytest.mark.parametrize("text", WRONGLY_SCANNED)
+    def test_wrongly_scanned_exponents_are_refused(self, text, capsys):
+        for order in (10, 40):
+            with pytest.raises(EvalError):
+                evaluate(parse(text), order)
+        assert main(["expand", text, "--order", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("podium: theta exponent ")
+        assert captured.err.count("\n") == 1
+
+    def test_random_convex_quadratics_match_a_brute_force_sum(self):
+        rng = random.Random(20240917)
+        for _ in range(200):
+            domain = rng.choice("NZ")
+            a = rng.randint(1, 4)
+            d = rng.choice((1, 2))
+            b = rng.randint(-40, 40)
+            if (a + b) % d:
+                b += 1
+            window = range(-300 if domain == "Z" else 0, 301)
+            c = -min((a * n * n + b * n) // d for n in window) + rng.randint(0, 5)
+            if rng.random() < 0.5:
+                body = f"({a}*n*n {_signed(b)}*n) div {d} + {c}"
+            else:
+                # the same polynomial as a product, so "*" of two lines is read too
+                body = f"(n*({a}*n {_signed(b)})) div {d} + {c}"
+            weight = rng.choice(sorted(WEIGHTS))
+            order = rng.randint(0, 60)
+            expected = [0] * (order + 1)
+            for n in window:
+                e = (a * n * n + b * n) // d + c
+                if e <= order:
+                    expected[e] += WEIGHTS[weight](n)
+            text = f"theta{{n in {domain}}}({weight}; {body})"
+            assert list(expand(text, order)) == expected, text
+
+    def test_random_concave_or_cubic_exponents_are_refused(self):
+        rng = random.Random(77)
+        for _ in range(100):
+            a, b, c = rng.randint(1, 9), rng.randint(0, 50), rng.randint(0, 50)
+            body = rng.choice([
+                f"{c} + {b}*n - {a}*n*n",
+                f"({c} - {a}*n*n) div 1 + {b}*n",
+                f"{a}*n*n*n {_signed(-b)}*n*n + {c}",
+                f"(n*n) * ({a}*n*n + {b}) + {c}",
+                f"{c} - n*({a}*n + {b})*n",
+            ])
+            text = f"theta{{n in {rng.choice('NZ')}}}(1; {body})"
+            with pytest.raises(EvalError, match="theta exponent"):
+                expand(text, rng.randint(0, 60))
+
+    def test_cancelled_terms_do_not_count(self):
+        # n^3 - n^3 + n is a line, so the scan sums it
+        assert list(expand("theta{n in N}(1; n*n*n - n*n*n + n)", 5)) == [1] * 6
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "theta{n in N}(1; 7)",
+            "theta{n in N}(1; 2*n + 1)",
+            "theta{n in Z}((-1)^(n); ceil2(n)*ceil2(n) - 0*n*n*n)",
+        ],
+    )
+    def test_scan_still_sums_flat_lines_and_ceil2(self, text):
+        assert isinstance(expand(text, 5), Series)
+
+
 class TestCheck:
     def test_recurrence_passes(self):
         lhs = parse("gf(pod) * theta{j in N}((-1)^(ceil2(j)); (j*(j+1)) div 2)")
