@@ -38,8 +38,9 @@ This is the one path from text to a Series: the counting functions'
 product forms and the named theta sums are text evaluated here.
 
 Evaluation goes through an eta-quotient normal form (:func:`normal_form`):
-a product-shaped expression becomes an exponent vector {b: a_b} for the
-factors (q^b; q^b)_oo, plus a leftover.  The rewrites, all classical:
+an expression built from poch, gf and 1 by "*", "/", "^" and subst
+becomes an exponent vector {b: a_b} for the factors (q^b; q^b)_oo, if
+every poch in it is one.  The rewrites, all classical:
 
 * (q^b; q^b) is {b: 1}, and (q^a; q^2a) = (q^a; q^a) / (q^2a; q^2a);
 * (-q^a; q^b) = (q^2a; q^2b) / (q^a; q^b), then the two rules above;
@@ -49,15 +50,14 @@ factors (q^b; q^b)_oo, plus a leftover.  The rewrites, all classical:
 * "*", "/" and "^" add, subtract and scale the vectors, and gf(f) lowers
   through its product form.
 
-Anything else is a leftover: theta sums, polynomials, constants, "+",
-"-", and a poch that is no eta quotient, such as (q; q^4).  The leftover
-keeps the shape of the source, so the tree walk evaluates it, and inverts
-each leftover divisor, exactly as it would in the whole tree; errors and
-their messages do not change.  The vector is then applied to the
-leftover's series by the sparse eta kernels of :mod:`podium.series`.
-Below order NEWTON_BASE (32), the series layer's own switch between
-small and large orders, the whole tree is walked node by node; lowering
-gains nothing measurable there.
+Anything else has no normal form: theta sums, polynomials, other
+constants, "+", "-", and a poch that is no eta quotient, such as
+(q; q^4).  The sparse eta kernels of :mod:`podium.series` expand a whole
+eta quotient, and apply one to the other operand of a "*" or "/"; the
+rest of the tree is walked node by node, so errors and their messages
+are the walk's.  Below order NEWTON_BASE (32), the series layer's own
+switch between small and large orders, the whole tree is walked; the
+kernels gain nothing measurable there.
 """
 
 from __future__ import annotations
@@ -595,7 +595,7 @@ def _merged(left: Etas, right: Etas, scale: int) -> Etas:
     out = dict(left)
     for b, a in right.items():
         out[b] = out.get(b, 0) + scale * a
-    return out
+    return {b: a for b, a in out.items() if a}
 
 
 def _substituted(etas: Etas, k: int, sign: int) -> Etas:
@@ -604,14 +604,10 @@ def _substituted(etas: Etas, k: int, sign: int) -> Etas:
     for b, a in etas.items():
         if sign == -1 and b % 2:
             # (-q; -q)^b-odd = (q^2b; q^2b)^3 / ((q^b; q^b) (q^4b; q^4b))
-            for c, m in ((b, -1), (2 * b, 3), (4 * b, -1)):
-                out[c * k] = out.get(c * k, 0) + m * a
+            out = _merged(out, {b * k: -1, 2 * b * k: 3, 4 * b * k: -1}, a)
         else:
-            out[b * k] = out.get(b * k, 0) + a
+            out = _merged(out, {b * k: a}, 1)
     return out
-
-
-_ONE = IntLit(1)
 
 
 @lru_cache(maxsize=None)
@@ -620,73 +616,58 @@ def product_form(fid: "partitions.FunctionId") -> Expr:
     return parse(partitions.PRODUCT_FORMS[fid])
 
 
-def _lower(node: Expr) -> Tuple[Etas, Optional[Expr]]:
-    """normal_form without dropping zero exponents.  The rest is `node`
-    itself only when nothing below it was lowered, and a rest is its own
-    rest, so evaluate's recursion on it ends."""
-    if isinstance(node, Poch):
-        etas = _poch_etas(node.sign, node.a, node.b)
-        return ({}, node) if etas is None else (etas, None)
-    if isinstance(node, GfRef):
-        return _lower(product_form(node.fid))
-    if isinstance(node, Subst):
-        etas, rest = _lower(node.child)
-        if rest is not None and rest is not node.child:
-            node = Subst(rest, node.k, node.sign)
-        return _substituted(etas, node.k, node.sign), None if rest is None else node
-    if isinstance(node, Pow):
-        etas, rest = _lower(node.child)
-        if rest is not None and rest is not node.child:
-            node = Pow(rest, node.exponent)
-        return {b: a * node.exponent for b, a in etas.items()}, None if rest is None else node
-    if isinstance(node, (Mul, Div)):
-        left, left_rest = _lower(node.left)
-        right, right_rest = _lower(node.right)
-        etas = _merged(left, right, 1 if isinstance(node, Mul) else -1)
-        if right_rest is None:
-            return etas, left_rest
-        if isinstance(node, Mul) and left_rest is None:
-            return etas, right_rest
-        # a leftover divisor is still inverted where it stood, under 1 if
-        # nothing is left of the dividend
-        left_rest = left_rest or _ONE
-        if left_rest != node.left or right_rest is not node.right:
-            node = type(node)(left_rest, right_rest)
-        return etas, node
-    if node == _ONE:
-        return {}, None
-    return {}, node
+def normal_form(node: Expr) -> Optional[Etas]:
+    """The expression as an eta quotient, or None if it is not one.
 
-
-def normal_form(node: Expr) -> Tuple[Etas, Optional[Expr]]:
-    """Split an expression into an eta quotient and a leftover.
-
-    Returns (etas, rest) with node == prod_b (q^b; q^b)_oo^{etas[b]} * rest
-    at every order, where rest is None when nothing is left over.  etas
-    has no zero exponents.  The rest keeps the source's shape: each
-    leftover factor stays where it stood, under its Div or Pow, so the
-    walk evaluates and inverts it as it would in the full tree.  An
-    expression with nothing to lower is its own rest.
+    Returns {b: a_b}, with no zero exponents, such that node ==
+    prod_b (q^b; q^b)_oo^{a_b} at every order, when node is built from
+    eta-type poch, gf and the constant 1 by "*", "/", "^" and subst
+    alone; anything else in it (a theta sum, a polynomial, another
+    constant, "+", "-", a poch such as (q; q^4)) makes the answer None.
     """
-    etas, rest = _lower(node)
-    return {b: a for b, a in etas.items() if a}, rest
+    if isinstance(node, Poch):
+        return _poch_etas(node.sign, node.a, node.b)
+    if isinstance(node, GfRef):
+        return normal_form(product_form(node.fid))
+    if isinstance(node, Subst):
+        etas = normal_form(node.child)
+        return None if etas is None else _substituted(etas, node.k, node.sign)
+    if isinstance(node, Pow):
+        etas = normal_form(node.child)
+        return None if etas is None else _merged({}, etas, node.exponent)
+    if isinstance(node, (Mul, Div)):
+        left = normal_form(node.left)
+        right = None if left is None else normal_form(node.right)
+        scale = 1 if isinstance(node, Mul) else -1
+        return None if right is None else _merged(left, right, scale)
+    return {} if node == IntLit(1) else None
 
 
 def evaluate(node: Expr, order: int) -> Series:
     """Evaluate a parsed expression to an exact Series at `order`.
 
-    From order NEWTON_BASE on, a product-shaped expression goes through
-    its normal form: the leftover is walked and the eta quotient applied
-    by the sparse kernels.  Below it, and for the leftover, the tree is
-    walked node by node.
+    From order NEWTON_BASE on, the sparse eta kernels take two cases: an
+    eta quotient as a whole (see normal_form), and a product or quotient
+    with one eta-quotient operand, the right one first, which is applied
+    to the other operand's series, inverted first if it is the divisor.
+    Everything else, and everything below NEWTON_BASE, is walked node by
+    node, so errors and their messages are the walk's.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     if order >= NEWTON_BASE:
-        etas, rest = normal_form(node)
-        if rest is not node:
-            base = constant(1, order) if rest is None else evaluate(rest, order)
-            return eta_quotient(base, etas)
+        etas = normal_form(node)
+        if etas is not None:
+            return eta_quotient(constant(1, order), etas)
+        if isinstance(node, (Mul, Div)):
+            scale = 1 if isinstance(node, Mul) else -1
+            etas = normal_form(node.right)
+            if etas is not None:
+                return eta_quotient(evaluate(node.left, order), _merged({}, etas, scale))
+            etas = normal_form(node.left)
+            if etas is not None:
+                other = evaluate(node.right, order)
+                return eta_quotient(other if scale == 1 else other.inverse(), etas)
     if isinstance(node, IntLit):
         return constant(node.value, order)
     if isinstance(node, QPow):

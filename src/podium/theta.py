@@ -120,7 +120,16 @@ def _accumulate(coeffs, weight, exponent, order, start, step):
 def theta_series(
     domain: Domain, weight: Callable[[int], int], exponent: ExponentFn, order: int
 ) -> Series:
-    """Build sum_{n in domain} w(n) q^{e(n)} truncated at `order`."""
+    """Build sum_{n in domain} w(n) q^{e(n)} truncated at `order`.
+
+    The scan from n = 0 (and from n = -1 over the integers) stops at the
+    first exponent above the order that is not below the one before, so
+    a callable exponent must never fall again once it has passed the
+    order.  One that does is summed wrongly, with no error: e(n) = 100n -
+    n^2 over N at order 10 gives 1 + 0q + ... + 0q^10, although e(100) = 0
+    and e(n) < 0 beyond.  QuadExp refuses a falling quadratic, and the
+    identity language refuses such a polynomial exponent.
+    """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     coeffs = [0] * (order + 1)

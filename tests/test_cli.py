@@ -1,6 +1,9 @@
 import json
 import platform
+import random
+import re
 import time
+from importlib import resources
 
 import pytest
 
@@ -364,3 +367,57 @@ class TestDefaults:
             main([flag])
         assert err.value.code == 0
         assert capsys.readouterr().out.startswith(("usage: podium", "podium "))
+
+
+# Stray bytes ride along with the grammar's own tokens, so most texts get
+# past the lexer some of the way before they are refused.
+SOUP = [
+    "poch(", "-q^1", "q^1", "q^2", "q^4", ",", "(", ")", "*", "/", "^", "-", "+",
+    "2", "3", "0", "1", "gf(pod)", "gf(", "pod", "subst(", "theta{n in Z}(",
+    "theta{n in N}(", "n", "n*n", ";", "div", "ceil2(", "(-1)^(", "}", "{",
+    "\x00", "\xff", "\u00e9", "\t", "\n", " ",
+]
+
+
+class TestFuzz:
+    """Whole-path fuzzing: any input ends in exit 0, 1 or 2, one stderr line
+    on 2, no exception, in bounded time."""
+
+    def outcome(self, capsys, argv):
+        started = time.perf_counter()
+        code = main(argv)
+        took = time.perf_counter() - started
+        _, err = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert err.count("\n") == 1 and err.startswith("podium: "), (argv, err)
+        assert took < 1.0, argv
+        return code
+
+    def test_expand_token_soup(self, capsys):
+        rng = random.Random(1)
+        codes = set()
+        for _ in range(1000):
+            text = "".join(rng.choice(SOUP) for _ in range(rng.randint(0, 14)))
+            order = rng.choice(["0", "1", "5", "31", "32", "40"])
+            codes.add(self.outcome(capsys, ["expand", text, "--order", order]))
+        assert codes == {0, 2}
+
+    def test_verify_mutated_manifests(self, capsys, tmp_path):
+        text = resources.files("podium").joinpath("data/identities.txt").read_text("ascii")
+        text = re.sub(r"(?m)^order=\d+$", "order=40", text)
+        blocks = ["[identity]" + block for block in text.split("[identity]")[1:]]
+        alphabet = [bytes([c]) for c in b"0123456789()+-*/^,;{}=[] qnZN\x00\xff\t\n"]
+        alphabet.append("\u00e9".encode())
+        rng = random.Random(1)
+        path = tmp_path / "fuzzed.txt"
+        codes = set()
+        for _ in range(250):
+            raw = "".join(rng.sample(blocks, 2)).encode()
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(raw))
+                cut = rng.choice([0, 1])  # insert, or replace one byte
+                raw = raw[:at] + rng.choice(alphabet) + raw[at + cut:]
+            path.write_bytes(raw)
+            codes.add(self.outcome(capsys, ["verify", "--manifest", str(path)]))
+        assert {0, 2} <= codes
