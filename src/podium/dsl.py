@@ -20,19 +20,21 @@ Grammar (whitespace-insensitive)::
 "-".  Unary minus binds tighter than "*".  INT and UINT are ASCII digits
 0-9 only.  A token is a run of such digits, a word (a letter or "_", then
 letters, digits or "_") or one symbol of -+*/^(){},; and only space,
-tab, CR and LF may separate tokens.  A theta body's "+", "-", "*" and
-integers build the same Add, Sub, Mul and IntLit nodes as the series
-grammar; "div" is exact integer division and errors on any remainder,
-and "ceil2" is the mathematical ceiling of half.  Parse errors carry the
-byte offset of the offending token and the set of tokens that would have
-been accepted.  A theta exponent built without ceil2 and (-1)^ is a
-polynomial in the variable; evaluation refuses one of degree above 2, or
-of degree 2 with a negative leading coefficient.
+tab, CR and LF may separate tokens.  The operators of one level, in a
+theta body too, make one flat Chain node read left to right; "div" is
+exact integer division and errors on any remainder, and "ceil2" is the
+mathematical ceiling of half.  Parse errors carry the byte offset of the
+offending token and the set of tokens that would have been accepted.
 
-Text is untrusted, so a tree deeper than MAX_DEPTH levels is a parse
-error: each operator, "^", unary minus, bracket, "subst", "theta", "ceil2"
-and "(-1)^" adds one.  That keeps the parser, evaluator and printer, which
-all recurse, inside Python's default recursion limit.
+A theta exponent must be a polynomial of degree at most 2, and not a
+falling quadratic; one with ceil2 or (-1)^ must be such a polynomial in
+m on each parity class n = 2m + r, where it is summed on its own.
+
+Text is untrusted, so nesting deeper than MAX_DEPTH levels is a parse
+error: each bracket, unary minus, "subst", "theta", "ceil2" and "(-1)^"
+opens one.  Chains are flat, so each level adds at most a sum, a product
+and a power to the tree, and the parser, evaluator and printer, which
+all recurse, stay inside Python's default recursion limit.
 
 This is the one path from text to a Series: the counting functions'
 product forms and the named theta sums are text evaluated here.
@@ -51,21 +53,23 @@ every poch in it is one.  The rewrites, all classical:
   through its product form.
 
 Anything else has no normal form: theta sums, polynomials, other
-constants, "+", "-", and a poch that is no eta quotient, such as
-(q; q^4).  The sparse eta kernels of :mod:`podium.series` expand a whole
-eta quotient, and apply one to the other operand of a "*" or "/"; the
-rest of the tree is walked node by node, so errors and their messages
-are the walk's.  Below order NEWTON_BASE (32), the series layer's own
-switch between small and large orders, the whole tree is walked; the
-kernels gain nothing measurable there.
+constants, sums, and a poch that is no eta quotient, such as (q; q^4).
+The sparse eta kernels of :mod:`podium.series` expand a whole eta
+quotient, and apply the merged eta factors of a product chain to the
+product of its other factors; the rest is walked node by node, so errors
+and their messages are the walk's.  Below order NEWTON_BASE (32), the
+series layer's own switch between small and large orders, all of it is
+walked; the kernels gain nothing measurable there.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Dict, Optional, Tuple, Union
 
 from . import partitions  # read at call time: partitions imports this module
@@ -134,27 +138,20 @@ class Subst:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
+class Chain:
+    """first op x op x ..., left to right, all ops of one level: + and -,
+    * and /, or in a theta body * and div, whose operand is an IntLit."""
+    first: "Expr"
+    rest: Tuple[Tuple[str, "Expr"], ...]
 
+    @property
+    def is_sum(self) -> bool:
+        return self.rest[0][0] in ("+", "-")
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Div:
-    left: "Expr"
-    right: "Expr"
+    @property
+    def operands(self) -> Tuple[Tuple[str, "Expr"], ...]:
+        """Every (op, operand) pair, the first operand's op "+" or "*"."""
+        return (("+" if self.is_sum else "*", self.first),) + self.rest
 
 
 @dataclass(frozen=True)
@@ -171,12 +168,6 @@ class Neg:
 @dataclass(frozen=True)
 class IVar:
     name: str
-
-
-@dataclass(frozen=True)
-class IDiv:
-    child: "IExpr"
-    divisor: int
 
 
 @dataclass(frozen=True)
@@ -197,8 +188,8 @@ class Theta:
     exponent: "IExpr"
 
 
-IExpr = Union[IntLit, IVar, Add, Sub, Mul, IDiv, ICeil2, ISignPow]
-Expr = Union[IntLit, QPow, Poch, GfRef, Subst, Add, Sub, Mul, Div, Pow, Neg, Theta]
+IExpr = Union[IntLit, IVar, Chain, ICeil2, ISignPow]
+Expr = Union[IntLit, QPow, Poch, GfRef, Subst, Chain, Pow, Neg, Theta]
 
 
 # ----------------------------------------------------------------------
@@ -237,31 +228,26 @@ def tokenize(text: str) -> list:
 # ----------------------------------------------------------------------
 
 class _Parser:
-    # `height` is the height of the tree the last parse_* call returned
-    # (leaves 0); `nesting` counts the levels still open, so deep text is
-    # refused on the way down, before the parser's own recursion is deep.
-    # Tokens are matched by text alone: no two kinds of token share one.
+    # `nesting` counts the levels still open, so deep text is refused on
+    # the way down, before the parser's own recursion is deep.  Tokens are
+    # matched by text alone: no two kinds of token share one.
 
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
         self.nesting = 0
-        self.height = 0
         self.var = ""  # the theta variable, while a theta body is parsed
 
-    def deeper(self, tok: Token, *levels: int) -> int:
-        """One above the highest of `levels`; past MAX_DEPTH is an error at `tok`."""
-        level = max(levels) + 1
-        if level > MAX_DEPTH:
+    def nested(self, tok: Token, parse, close: str = ""):
+        """Run `parse` one level inside the construct opened at `tok`, then
+        expect `close` if given; past MAX_DEPTH levels is an error at `tok`."""
+        if self.nesting == MAX_DEPTH:
             raise ParseError(f"expression deeper than {MAX_DEPTH} levels", tok.offset)
-        return level
-
-    def nested(self, tok: Token, parse):
-        """Run `parse` one level inside the construct opened at `tok`."""
-        self.nesting = self.deeper(tok, self.nesting)
+        self.nesting += 1
         node = parse()
         self.nesting -= 1
-        self.height = self.deeper(tok, self.height)
+        if close:
+            self.expect(close)
         return node
 
     def peek(self) -> Token:
@@ -311,47 +297,44 @@ class _Parser:
         return self.expect_int(minimum)
 
     def chain(self, operand, ops) -> Expr:
-        """Parse `operand (op right)*` left-associatively.  `ops` maps each
-        operator's text to its node class and the parser of its right side."""
-        node = operand()
+        """Parse `operand (op operand)*` as one Chain, or the lone operand.
+        `ops` maps each operator's text to the parser of its operand.  A
+        first operand that is a bracketed chain of the same level is spliced
+        in, so "(a - b) - c" gives the tree of "a - b - c", as it reads."""
+        first = operand()
+        rest = []
         while self.peek().text in ops:
-            left, op = self.height, self.advance()
-            make, right = ops[op.text]
-            rhs = right()
-            self.height = self.deeper(op, left, self.height)
-            node = make(node, rhs)
-        return node
+            op = self.advance().text
+            rest.append((op, ops[op]()))
+        if not rest:
+            return first
+        if isinstance(first, Chain) and first.rest[0][0] in ops:
+            return Chain(first.first, first.rest + tuple(rest))
+        return Chain(first, tuple(rest))
 
     # ---- series expressions ----
 
     def parse_expr(self) -> Expr:
-        return self.chain(
-            self.parse_term, {"+": (Add, self.parse_term), "-": (Sub, self.parse_term)}
-        )
+        return self.chain(self.parse_term, {"+": self.parse_term, "-": self.parse_term})
 
     def parse_term(self) -> Expr:
-        return self.chain(
-            self.parse_factor, {"*": (Mul, self.parse_factor), "/": (Div, self.parse_factor)}
-        )
+        return self.chain(self.parse_factor, {"*": self.parse_factor, "/": self.parse_factor})
 
     def parse_factor(self) -> Expr:
         node = self.parse_base()
         if self.at("^"):
-            self.height = self.deeper(self.advance(), self.height)
+            self.advance()
             node = Pow(node, self.sign() * self.expect_int())
         return node
 
     def parse_base(self) -> Expr:
         tok = self.peek()
-        self.height = 0
         if tok.kind == "int":
             return IntLit(self.expect_int())
         if self.at("-"):
             return Neg(self.nested(self.advance(), self.parse_base))
         if self.at("("):
-            node = self.nested(self.advance(), self.parse_expr)
-            self.expect(")")
-            return node
+            return self.nested(self.advance(), self.parse_expr, ")")
         if self.at("q"):
             return QPow(self.expect_q_power())
         if self.at("poch"):
@@ -394,8 +377,7 @@ class _Parser:
     def parse_subst(self) -> Expr:
         tok = self.expect("subst")
         self.expect("(")
-        child = self.nested(tok, self.parse_expr)
-        self.expect(",")
+        child = self.nested(tok, self.parse_expr, ",")
         sign = self.sign()
         k = self.expect_q_power()
         self.expect(")")
@@ -415,36 +397,27 @@ class _Parser:
         self.expect("}")
         self.expect("(")
         self.var = var
-        weight = self.nested(theta, self.parse_iexpr)
-        weight_height = self.height
-        self.expect(";")
-        exponent = self.nested(theta, self.parse_iexpr)
-        self.height = max(weight_height, self.height)
-        self.expect(")")
+        weight = self.nested(theta, self.parse_iexpr, ";")
+        exponent = self.nested(theta, self.parse_iexpr, ")")
         return Theta(domain, var, weight, exponent)
 
     # ---- integer expressions inside theta, in the variable self.var ----
 
     def parse_iexpr(self) -> IExpr:
-        return self.chain(
-            self.parse_iterm, {"+": (Add, self.parse_iterm), "-": (Sub, self.parse_iterm)}
-        )
+        return self.chain(self.parse_iterm, {"+": self.parse_iterm, "-": self.parse_iterm})
 
     def parse_iterm(self) -> IExpr:
-        ops = {"*": (Mul, self.parse_ifact), "div": (IDiv, lambda: self.expect_int(1))}
+        ops = {"*": self.parse_ifact, "div": lambda: IntLit(self.expect_int(1))}
         return self.chain(self.parse_ifact, ops)
 
     def parse_ifact(self) -> IExpr:
         tok = self.peek()
-        self.height = 0
         if tok.kind == "int":
             return IntLit(self.expect_int())
         if self.at("ceil2"):
             self.advance()
             self.expect("(")
-            node = self.nested(tok, self.parse_iexpr)
-            self.expect(")")
-            return ICeil2(node)
+            return ICeil2(self.nested(tok, self.parse_iexpr, ")"))
         if tok.kind == "name":
             if tok.text != self.var:
                 raise ParseError(
@@ -463,12 +436,8 @@ class _Parser:
                 self.expect(")")
                 self.expect("^")
                 self.expect("(")
-                node = self.nested(tok, self.parse_iexpr)
-                self.expect(")")
-                return ISignPow(node)
-            node = self.nested(tok, self.parse_iexpr)
-            self.expect(")")
-            return node
+                return ISignPow(self.nested(tok, self.parse_iexpr, ")"))
+            return self.nested(tok, self.parse_iexpr, ")")
         self.fail(("integer", "variable", "'ceil2'", "'(-1)'", "'('"))
 
 
@@ -488,23 +457,26 @@ def parse(text: str) -> Expr:
 # evaluation
 # ----------------------------------------------------------------------
 
+# "+", "-" and "*" on ints and on Series alike
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
 def _ieval(node: IExpr, value: int) -> int:
     if isinstance(node, IntLit):
         return node.value
     if isinstance(node, IVar):
         return value
-    if isinstance(node, Add):
-        return _ieval(node.left, value) + _ieval(node.right, value)
-    if isinstance(node, Sub):
-        return _ieval(node.left, value) - _ieval(node.right, value)
-    if isinstance(node, Mul):
-        return _ieval(node.left, value) * _ieval(node.right, value)
-    if isinstance(node, IDiv):
-        num = _ieval(node.child, value)
-        quotient, remainder = divmod(num, node.divisor)
-        if remainder:
-            raise EvalError(f"{num} div {node.divisor} is not exact")
-        return quotient
+    if isinstance(node, Chain):
+        total = _ieval(node.first, value)
+        for op, operand in node.rest:
+            if op == "div":
+                quotient, remainder = divmod(total, operand.value)
+                if remainder:
+                    raise EvalError(f"{total} div {operand.value} is not exact")
+                total = quotient
+            else:
+                total = _ARITH[op](total, _ieval(operand, value))
+        return total
     if isinstance(node, ICeil2):
         return ceil_half(_ieval(node.child, value))
     if isinstance(node, ISignPow):
@@ -512,41 +484,59 @@ def _ieval(node: IExpr, value: int) -> int:
     raise TypeError(f"not an integer expression: {node!r}")
 
 
-def _polynomial(node: IExpr) -> Optional[Tuple[list, int]]:
-    """A theta body built from integers, the variable, "+", "-", "*" and
-    "div" as (c, d): the polynomial sum_i c[i] n^i / d, with d >= 1.  None
-    if the body uses ceil2 or (-1)^."""
-    if isinstance(node, IntLit):
-        return [node.value], 1
-    if isinstance(node, IVar):
-        return [0, 1], 1
-    if isinstance(node, IDiv):
-        child = _polynomial(node.child)
-        return None if child is None else (child[0], child[1] * node.divisor)
-    if not isinstance(node, (Add, Sub, Mul)):
-        return None
-    left = _polynomial(node.left)
-    right = None if left is None else _polynomial(node.right)
-    if right is None:
-        return None
-    (p, d), (r, e) = left, right
-    if isinstance(node, Mul):
-        out = [0] * (len(p) + len(r) - 1)
-        for i, a in enumerate(p):
-            for j, b in enumerate(r):
-                out[i + j] += a * b
-        return out, d * e
-    sign = 1 if isinstance(node, Add) else -1
-    out = [0] * max(len(p), len(r))
-    for i, a in enumerate(p):
-        out[i] += a * e
-    for j, b in enumerate(r):
-        out[j] += sign * b * d
+def _times(p: Tuple[list, int], r: Tuple[list, int] = ([1], 1)) -> Tuple[list, int]:
+    (a, d), (b, e) = p, r
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
     return out, d * e
 
 
-def _check_exponent(exponent: IExpr):
-    """Refuse a polynomial theta exponent that the scan would sum wrongly.
+def _polynomial(node: IExpr, r: Optional[int]) -> Optional[Tuple[list, int]]:
+    """A theta body as (c, d): the polynomial sum_i c[i] x^i / d, d >= 1.
+
+    With r None, x is the variable, and ceil2 or (-1)^ gives None.  With
+    r = 0 or 1, x is m on the class n = 2m + r, where ceil2(A) and (-1)^(A)
+    are polynomials in m if A's coefficients past the constant one are
+    even integers, and an EvalError otherwise.  Products are multiplied
+    pairwise, so a flat n*n*...*n costs what a balanced bracketing does.
+    """
+    if isinstance(node, IntLit):
+        return [node.value], 1
+    if isinstance(node, IVar):
+        return ([0, 1] if r is None else [r, 2]), 1
+    if isinstance(node, Chain):
+        parts = [_polynomial(node.first, r)]
+        for op, operand in node.rest:
+            parts.append(([1], operand.value) if op == "div" else _polynomial(operand, r))
+        if None in parts:
+            return None
+        if node.is_sum:
+            p, d = parts[0]
+            for (op, _), (c, e) in zip(node.rest, parts[1:]):
+                sign = 1 if op == "+" else -1
+                p, d = [x * e + sign * y * d for x, y in zip_longest(p, c, fillvalue=0)], d * e
+            return p, d
+        while len(parts) > 1:
+            parts = [_times(*parts[i : i + 2]) for i in range(0, len(parts), 2)]
+        return parts[0]
+    if r is None:  # ceil2 or (-1)^
+        return None
+    coeffs, d = _polynomial(node.child, r)
+    a = [c // d for c in coeffs]
+    if any(c % d for c in coeffs) or any(c % 2 for c in a[1:]):
+        raise EvalError(
+            f"theta exponent: cannot fix a ceil2 or (-1)^ argument's parity on n = 2m + {r}"
+        )
+    if isinstance(node, ICeil2):
+        return [ceil_half(c) for c in a], 1
+    return [-1 if a[0] % 2 else 1], 1
+
+
+def _check_exponent(exponent: IExpr) -> bool:
+    """Refuse a theta exponent that the scan would sum wrongly; True if it
+    is to be summed on each parity class n = 2m + r on its own.
 
     The scan in podium.theta stops at the first exponent above the order
     that is not below the one before; that is exact only if the exponent
@@ -554,19 +544,21 @@ def _check_exponent(exponent: IExpr):
     coefficient never does; a falling line is refused by the scan when it
     turns negative, and a constant at or below the order when the scan
     runs out.  A falling quadratic or any higher degree is refused here.
-    Bodies with ceil2 or (-1)^ are left to the scan.
+    An exponent with ceil2 or (-1)^ is read as a polynomial in m on each
+    class (see _polynomial), and each reading is held to the same rule.
     """
-    poly = _polynomial(exponent)
-    if poly is None:
-        return
-    coeffs = poly[0]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    degree = len(coeffs) - 1
-    if degree > 2:
-        raise EvalError(f"theta exponent has degree {degree}; it must be at most 2")
-    if degree == 2 and coeffs[2] < 0:
-        raise EvalError("theta exponent is a quadratic that falls without bound")
+    readings = [_polynomial(exponent, None)]
+    if readings[0] is None:
+        readings = [_polynomial(exponent, r) for r in (0, 1)]
+    for coeffs, _ in readings:
+        while len(coeffs) > 1 and coeffs[-1] == 0:
+            coeffs.pop()
+        degree = len(coeffs) - 1
+        if degree > 2:
+            raise EvalError(f"theta exponent has degree {degree}; it must be at most 2")
+        if degree == 2 and coeffs[2] < 0:
+            raise EvalError("theta exponent is a quadratic that falls without bound")
+    return len(readings) == 2
 
 
 # ----------------------------------------------------------------------
@@ -621,9 +613,9 @@ def normal_form(node: Expr) -> Optional[Etas]:
 
     Returns {b: a_b}, with no zero exponents, such that node ==
     prod_b (q^b; q^b)_oo^{a_b} at every order, when node is built from
-    eta-type poch, gf and the constant 1 by "*", "/", "^" and subst
+    eta-type poch, gf and the constant 1 by product chains, "^" and subst
     alone; anything else in it (a theta sum, a polynomial, another
-    constant, "+", "-", a poch such as (q; q^4)) makes the answer None.
+    constant, a sum chain, a poch such as (q; q^4)) makes the answer None.
     """
     if isinstance(node, Poch):
         return _poch_etas(node.sign, node.a, node.b)
@@ -635,39 +627,54 @@ def normal_form(node: Expr) -> Optional[Etas]:
     if isinstance(node, Pow):
         etas = normal_form(node.child)
         return None if etas is None else _merged({}, etas, node.exponent)
-    if isinstance(node, (Mul, Div)):
-        left = normal_form(node.left)
-        right = None if left is None else normal_form(node.right)
-        scale = 1 if isinstance(node, Mul) else -1
-        return None if right is None else _merged(left, right, scale)
+    if isinstance(node, Chain) and not node.is_sum:
+        etas = normal_form(node.first)
+        for op, factor in node.rest:
+            part = None if etas is None else normal_form(factor)
+            if part is None:
+                return None
+            etas = _merged(etas, part, 1 if op == "*" else -1)
+        return etas
     return {} if node == IntLit(1) else None
+
+
+def _walk(operands, order: int) -> Series:
+    """The (op, operand) pairs of a chain, evaluated and combined left to
+    right; a factor 1 multiplies nothing, so 1 / x is x's inverse alone."""
+    value = None
+    for op, operand in operands:
+        if op in ("*", "/") and operand == IntLit(1):
+            continue
+        term = evaluate(operand, order)
+        if op == "/":
+            op, term = "*", term.inverse()
+        value = term if value is None else _ARITH[op](value, term)
+    return constant(1, order) if value is None else value
 
 
 def evaluate(node: Expr, order: int) -> Series:
     """Evaluate a parsed expression to an exact Series at `order`.
 
-    From order NEWTON_BASE on, the sparse eta kernels take two cases: an
-    eta quotient as a whole (see normal_form), and a product or quotient
-    with one eta-quotient operand, the right one first, which is applied
-    to the other operand's series, inverted first if it is the divisor.
-    Everything else, and everything below NEWTON_BASE, is walked node by
-    node, so errors and their messages are the walk's.
+    From order NEWTON_BASE on, the sparse eta kernels take an eta
+    quotient as a whole (see normal_form), and the eta-quotient factors
+    of a product chain: their vectors are merged and applied once, to the
+    walked product of the other factors.  Everything else, and everything
+    below NEWTON_BASE, is walked node by node, so errors and their
+    messages are the walk's.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     if order >= NEWTON_BASE:
-        etas = normal_form(node)
-        if etas is not None:
-            return eta_quotient(constant(1, order), etas)
-        if isinstance(node, (Mul, Div)):
-            scale = 1 if isinstance(node, Mul) else -1
-            etas = normal_form(node.right)
-            if etas is not None:
-                return eta_quotient(evaluate(node.left, order), _merged({}, etas, scale))
-            etas = normal_form(node.left)
-            if etas is not None:
-                other = evaluate(node.right, order)
-                return eta_quotient(other if scale == 1 else other.inverse(), etas)
+        product = isinstance(node, Chain) and not node.is_sum
+        factors, others, etas = node.operands if product else (("*", node),), [], {}
+        for op, factor in factors:
+            part = normal_form(factor)
+            if part is None:
+                others.append((op, factor))
+            else:
+                etas = _merged(etas, part, 1 if op == "*" else -1)
+        if len(others) < len(factors):
+            return eta_quotient(_walk(others, order), etas)
     if isinstance(node, IntLit):
         return constant(node.value, order)
     if isinstance(node, QPow):
@@ -678,31 +685,28 @@ def evaluate(node: Expr, order: int) -> Series:
         return partitions.gf_series(node.fid, order)
     if isinstance(node, Subst):
         return evaluate(node.child, order).substitute(node.k, node.sign)
-    if isinstance(node, Add):
-        return evaluate(node.left, order) + evaluate(node.right, order)
-    if isinstance(node, Sub):
-        return evaluate(node.left, order) - evaluate(node.right, order)
-    if isinstance(node, Mul):
-        return evaluate(node.left, order) * evaluate(node.right, order)
-    if isinstance(node, Div):
-        # 1 / x is x's inverse alone, with no product by the constant 1
-        if node.left == IntLit(1):
-            return evaluate(node.right, order).inverse()
-        return evaluate(node.left, order) * evaluate(node.right, order).inverse()
+    if isinstance(node, Chain):
+        return _walk(node.operands, order)
     if isinstance(node, Pow):
         return evaluate(node.child, order).power(node.exponent)
     if isinstance(node, Neg):
         return -evaluate(node.child, order)
     if isinstance(node, Theta):
-        weight = node.weight
-        exponent = node.exponent
-        _check_exponent(exponent)
-        return theta_series(
-            node.domain,
-            lambda n: _ieval(weight, n),
-            lambda n: _ieval(exponent, n),
-            order,
+        weight, exponent = node.weight, node.exponent
+        if not _check_exponent(exponent):
+            return theta_series(
+                node.domain, lambda n: _ieval(weight, n), lambda n: _ieval(exponent, n), order
+            )
+        even, odd = (
+            theta_series(
+                node.domain,
+                lambda m, r=r: _ieval(weight, 2 * m + r),
+                lambda m, r=r: _ieval(exponent, 2 * m + r),
+                order,
+            )
+            for r in (0, 1)
         )
+        return even + odd
     raise TypeError(f"not a series expression: {node!r}")
 
 
@@ -796,19 +800,13 @@ def _as_factor(node: Expr) -> str:
 
 
 def _as_term(node: Expr) -> str:
-    if isinstance(node, Mul):
-        return f"{_as_term(node.left)} * {_as_factor(node.right)}"
-    if isinstance(node, Div):
-        return f"{_as_term(node.left)} / {_as_factor(node.right)}"
-    if isinstance(node, IDiv):
-        return f"{_as_term(node.child)} div {node.divisor}"
+    if isinstance(node, Chain) and not node.is_sum:
+        return _as_factor(node.first) + "".join(f" {op} {_as_factor(x)}" for op, x in node.rest)
     return _as_factor(node)
 
 
 def pretty(node: Expr) -> str:
     """Canonical text for an AST; re-parsing gives back an identical tree."""
-    if isinstance(node, Add):
-        return f"{pretty(node.left)} + {_as_term(node.right)}"
-    if isinstance(node, Sub):
-        return f"{pretty(node.left)} - {_as_term(node.right)}"
+    if isinstance(node, Chain) and node.is_sum:
+        return _as_term(node.first) + "".join(f" {op} {_as_term(x)}" for op, x in node.rest)
     return _as_term(node)

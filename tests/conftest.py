@@ -74,16 +74,19 @@ def reference_evaluate(node, order: int) -> Series:
         return reference_evaluate(dsl.parse(partitions.PRODUCT_FORMS[node.fid]), order)
     if isinstance(node, dsl.Subst):
         return reference_evaluate(node.child, order).substitute(node.k, node.sign)
-    if isinstance(node, dsl.Add):
-        return reference_evaluate(node.left, order) + reference_evaluate(node.right, order)
-    if isinstance(node, dsl.Sub):
-        return reference_evaluate(node.left, order) - reference_evaluate(node.right, order)
-    if isinstance(node, dsl.Mul):
-        return reference_evaluate(node.left, order) * reference_evaluate(node.right, order)
-    if isinstance(node, dsl.Div):
-        if node.left == dsl.IntLit(1):
-            return reference_evaluate(node.right, order).inverse()
-        return reference_evaluate(node.left, order) * reference_evaluate(node.right, order).inverse()
+    if isinstance(node, dsl.Chain):
+        value = reference_evaluate(node.first, order)
+        for op, operand in node.rest:
+            term = reference_evaluate(operand, order)
+            if op == "+":
+                value = value + term
+            elif op == "-":
+                value = value - term
+            elif op == "*":
+                value = value * term
+            else:
+                value = value * term.inverse()
+        return value
     if isinstance(node, dsl.Pow):
         return reference_evaluate(node.child, order).power(node.exponent)
     if isinstance(node, dsl.Neg):

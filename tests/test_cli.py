@@ -1,3 +1,4 @@
+import hashlib
 import json
 import platform
 import random
@@ -267,6 +268,21 @@ class TestBench:
         assert f"pod_sha256={pod}" in lines
         assert f"mul_sha256={product}" in lines
         assert "verify_passed=49/49" in lines
+
+    # Recorded before operator chains became flat nodes; the report bodies
+    # must not move when the evaluator is restructured.
+    PINNED_STDOUT = {
+        ("verify", "--order", "300"): (
+            "2fd3368c5ec4a48fc6881e02fe15dcacf0e16fdc835877f981cb3cda6247c88a"
+        ),
+        ("oracle",): "80cc7a810a5479b6b83ee62f62ebc43dc985a4d7479a13e80b8e0239be0b433c",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(PINNED_STDOUT), ids=" ".join)
+    def test_report_stdout_pinned(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_STDOUT[argv]
 
 
 class TestUnwritableOutput:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -7,20 +8,17 @@ from hypothesis import strategies as st
 from podium.cli import main
 from podium.dsl import (
     MAX_DEPTH,
-    Add,
-    Div,
+    Chain,
     EvalError,
     GfRef,
     ISignPow,
     IVar,
     IntLit,
-    Mul,
     Neg,
     ParseError,
     Poch,
     Pow,
     QPow,
-    Sub,
     Subst,
     Theta,
     check,
@@ -33,20 +31,21 @@ from podium.dsl import (
 from podium.manifest import ManifestError, parse_manifest
 from podium.partitions import FunctionId
 from podium.series import Mismatch, Series, constant, pochhammer
-from podium.theta import Domain
+from podium.theta import DivergenceError, Domain, ceil_half
 
-from conftest import reference_tokenize
+from conftest import reference_evaluate, reference_tokenize
 
 
 class TestParse:
     def test_poch_quotient(self):
         got = parse("poch(-q^1, q^2) / poch(q^2, q^2)")
-        assert got == Div(Poch(-1, 1, 2), Poch(1, 2, 2))
+        assert got == Chain(Poch(-1, 1, 2), (("/", Poch(1, 2, 2)),))
 
     def test_theta_node(self):
         got = parse("theta{n in Z}((-1)^(n); 2*n*n + n)")
         weight = ISignPow(IVar("n"))
-        exponent = Add(Mul(Mul(IntLit(2), IVar("n")), IVar("n")), IVar("n"))
+        product = Chain(IntLit(2), (("*", IVar("n")), ("*", IVar("n"))))
+        exponent = Chain(product, (("+", IVar("n")),))
         assert got == Theta(Domain.ALL_INTEGERS, "n", weight, exponent)
 
     def test_gf_reference(self):
@@ -58,15 +57,19 @@ class TestParse:
 
     def test_precedence(self):
         got = parse("1 + q^1 * 2^3")
-        assert got == Add(IntLit(1), Mul(QPow(1), Pow(IntLit(2), 3)))
+        assert got == Chain(IntLit(1), (("+", Chain(QPow(1), (("*", Pow(IntLit(2), 3)),))),))
 
     def test_unary_minus_binds_tighter_than_mul(self):
         got = parse("-2 * 3")
-        assert got == Mul(Neg(IntLit(2)), IntLit(3))
+        assert got == Chain(Neg(IntLit(2)), (("*", IntLit(3)),))
 
     def test_left_associativity(self):
         got = parse("gf(p) - gf(pod) - gf(ped)")
-        assert got == Sub(Sub(GfRef(FunctionId.P), GfRef(FunctionId.POD)), GfRef(FunctionId.PED))
+        assert got == Chain(
+            GfRef(FunctionId.P), (("-", GfRef(FunctionId.POD)), ("-", GfRef(FunctionId.PED)))
+        )
+        # a bracketed chain of the same level is spliced in, as it reads
+        assert parse("(gf(p) - gf(pod)) - gf(ped)") == got
 
 
 class TestParseErrors:
@@ -85,6 +88,12 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             parse("theta{n in Z}(1; m*m)")
         assert err.value.offset == 17
+
+    def test_theta_variable_must_be_a_name(self):
+        with pytest.raises(ParseError) as err:
+            parse("theta{1 in N}(1; n)")
+        assert err.value.offset == 6
+        assert err.value.expected == ("variable name",)
 
     def test_div_outside_theta(self):
         with pytest.raises(ParseError) as err:
@@ -231,6 +240,15 @@ WEIGHTS = {
 }
 
 
+# Exponents with ceil2 or (-1)^ that a single scan once cut short, with
+# their sums at order 12; each is read on n = 2m and n = 2m + 1 apart.
+PARITY_CLASS_SUMS = {
+    "theta{n in N}(1; 1000*(-1)^(n) + 1000 + n)": [0, 1] * 6 + [0],
+    "theta{n in N}(1; 100*ceil2(n) - 50*n + n)": [1, 0] * 6 + [1],
+    "theta{n in Z}(1; 1000*(-1)^(n) + 1000 + n*n)": [0, 2] + [0] * 7 + [2, 0, 0, 0],
+}
+
+
 def _signed(k: int) -> str:
     return f"+ {k}" if k >= 0 else f"- {-k}"
 
@@ -292,6 +310,59 @@ class TestThetaExponent:
         # n^3 - n^3 + n is a line, so the scan sums it
         assert list(expand("theta{n in N}(1; n*n*n - n*n*n + n)", 5)) == [1] * 6
 
+    @pytest.mark.parametrize("text", sorted(PARITY_CLASS_SUMS))
+    def test_ceil2_and_sign_exponents_are_summed_per_parity_class(self, text):
+        assert list(expand(text, 12)) == PARITY_CLASS_SUMS[text]
+
+    def test_random_parity_class_exponents_match_a_brute_force_sum(self):
+        rng = random.Random(20261018)
+        for _ in range(200):
+            a = rng.randint(0, 3)
+            domain = rng.choice("NZ") if a else "N"
+            # with a = 0, each class is a line rising by 2b + c >= 1 per step in m
+            b = rng.randint(-40, 40) if a else rng.randint(1, 5)
+            c = rng.randint(-20, 20) if a else rng.randint(1 - 2 * b, 10)
+            s, j = rng.randint(-20, 20), rng.randint(0, 3)
+            square = rng.choice(["n*n", "ceil2(n)*ceil2(n)"])
+
+            def e(n):
+                sq = n * n if square == "n*n" else ceil_half(n) ** 2
+                sign = -1 if (n + j) % 2 else 1
+                return a * sq + b * n + c * ceil_half(n + j) + s * sign
+
+            window = range(-300 if domain == "Z" else 0, 301)
+            k = -min(e(n) for n in window) + rng.randint(0, 5)
+            body = (
+                f"{a}*{square} {_signed(b)}*n {_signed(c)}*ceil2(n + {j})"
+                f" {_signed(s)}*(-1)^(n + {j}) {_signed(k)}"
+            )
+            weight = rng.choice(sorted(WEIGHTS))
+            order = rng.randint(0, 60)
+            expected = [0] * (order + 1)
+            for n in window:
+                if e(n) + k <= order:
+                    expected[e(n) + k] += WEIGHTS[weight](n)
+            text = f"theta{{n in {domain}}}({weight}; {body})"
+            assert list(expand(text, order)) == expected, text
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "ceil2(ceil2(n))",
+            "ceil2(n div 2) + n",
+            "n*n + (-1)^((n*(n+1)) div 2)",
+            "n*n + (-1)^(ceil2(n))",
+        ],
+    )
+    def test_parity_that_varies_within_a_class_is_refused(self, body):
+        with pytest.raises(EvalError, match="^theta exponent"):
+            expand(f"theta{{n in N}}(1; {body})", 10)
+
+    def test_a_class_that_never_grows_is_refused(self):
+        # 5 on every even n
+        with pytest.raises(DivergenceError):
+            expand("theta{n in N}(1; 20*ceil2(n) - 10*n + 5)", 12)
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -349,50 +420,67 @@ class TestPretty:
         assert pretty(parse("gf(pod)*gf(p)")) == "gf(pod) * gf(p)"
 
     def test_regrouping_gets_parens(self):
-        ast = Sub(IntLit(1), Add(IntLit(2), IntLit(3)))
+        ast = Chain(IntLit(1), (("-", Chain(IntLit(2), (("+", IntLit(3)),))),))
         assert pretty(ast) == "1 - (2 + 3)"
         assert parse(pretty(ast)) == ast
 
     def test_right_division_gets_parens(self):
-        ast = Div(GfRef(FunctionId.P), Div(GfRef(FunctionId.POD), GfRef(FunctionId.PED)))
+        ast = Chain(
+            GfRef(FunctionId.P),
+            (("/", Chain(GfRef(FunctionId.POD), (("/", GfRef(FunctionId.PED)),))),),
+        )
         assert pretty(ast) == "gf(p) / (gf(pod) / gf(ped))"
         assert parse(pretty(ast)) == ast
 
 
-def _bracketed_chain(depth):
-    # a chain inside brackets, continued outside them: the heights add up
-    inner = depth // 2
-    return "(" + "+".join(["1"] * inner) + ")" + "+1" * (depth - inner)
+def _bracketed_chain(terms):
+    # a chain inside brackets, continued outside them: one flat chain
+    inner = terms // 2
+    return "(" + "+".join(["1"] * inner) + ")" + "+1" * (terms - inner)
 
 
-# Each shape builds text whose tree is exactly `depth` levels high, paired
-# with the offset of the token that goes past the bound at MAX_DEPTH + 1.
-DEPTH_SHAPES = {
+# Each shape builds text nested exactly `depth` levels deep, paired with
+# the offset of the token that goes past the bound at MAX_DEPTH + 1.
+NESTING_SHAPES = {
     "brackets": (lambda d: "(" * d + "q^1" + ")" * d, lambda text: MAX_DEPTH),
     "unary-minus": (lambda d: "-" * d + "1", lambda text: MAX_DEPTH),
     "subst": (
         lambda d: "subst(" * d + "q^1" + ", q^1)" * d,
         lambda text: 6 * MAX_DEPTH,
     ),
-    "flat-chain": (lambda d: "+".join(["1"] * (d + 1)), lambda text: 2 * MAX_DEPTH + 1),
-    "theta-chain": (
-        lambda d: "theta{n in N}(1; " + "+".join(["n"] * d) + ")",
-        lambda text: 0,
-    ),
-    "bracketed-chain": (_bracketed_chain, lambda text: len(text) - 2),
+}
+
+# Each shape builds one operator chain of `terms` operands.  A chain is one
+# flat node, so its length is bounded by nothing but the text.
+CHAIN_SHAPES = {
+    "flat-chain": lambda terms: "+".join(["1"] * terms),
+    "theta-chain": lambda terms: "theta{n in N}(1; " + "+".join(["n"] * terms) + ")",
+    "bracketed-chain": _bracketed_chain,
 }
 
 
-@pytest.mark.parametrize("shape", sorted(DEPTH_SHAPES))
+def _worst_case(depth):
+    # a sum, a product and a power at every level: about 3 * depth high
+    text = "q^1"
+    for _ in range(depth):
+        text = f"({text} * q^1 + 1)^1"
+    return text
+
+
 class TestDepthBound:
+    @pytest.mark.parametrize("shape", sorted(NESTING_SHAPES) + sorted(CHAIN_SHAPES))
     def test_at_bound_parses_evaluates_and_round_trips(self, shape):
-        text = DEPTH_SHAPES[shape][0](MAX_DEPTH)
+        if shape in NESTING_SHAPES:
+            text = NESTING_SHAPES[shape][0](MAX_DEPTH)
+        else:
+            text = CHAIN_SHAPES[shape](3000)
         ast = parse(text)
-        assert isinstance(expand(text, 4), Series)
+        assert expand(text, 4) == reference_evaluate(ast, 4)
         assert parse(pretty(ast)) == ast
 
+    @pytest.mark.parametrize("shape", sorted(NESTING_SHAPES))
     def test_past_bound_is_a_parse_error_at_the_offending_token(self, shape):
-        build, offset = DEPTH_SHAPES[shape]
+        build, offset = NESTING_SHAPES[shape]
         text = build(MAX_DEPTH + 1)
         with pytest.raises(ParseError) as err:
             parse(text)
@@ -400,8 +488,9 @@ class TestDepthBound:
         with pytest.raises(ParseError):
             parse(build(3000))
 
+    @pytest.mark.parametrize("shape", sorted(NESTING_SHAPES))
     def test_past_bound_exits_2_from_expand_and_verify(self, shape, capsys, tmp_path):
-        text = DEPTH_SHAPES[shape][0](MAX_DEPTH + 1)
+        text = NESTING_SHAPES[shape][0](MAX_DEPTH + 1)
         assert main(["expand", "--order", "4", "--", text]) == 2
         assert capsys.readouterr().err.count("\n") == 1
         record = f"[identity]\nid=deep\nlhs={text}\nrhs=1\norder=4\n"
@@ -411,6 +500,30 @@ class TestDepthBound:
         path.write_text(record)
         assert main(["verify", "--manifest", str(path)]) == 2
         assert "deeper than" in capsys.readouterr().err
+
+    def test_worst_case_at_bound_stays_inside_the_recursion_limit(self):
+        text = _worst_case(MAX_DEPTH)
+        ast = parse(text)
+        for order in (4, 40):
+            assert list(evaluate(ast, order)) == [1] * (order + 1)
+        again = parse(pretty(ast))
+        assert again == ast
+        with pytest.raises(ParseError):
+            parse(_worst_case(MAX_DEPTH + 1))
+
+    def test_flat_sum_of_ten_thousand_terms_is_fast(self):
+        started = time.perf_counter()
+        got = expand(" + ".join(["q^1"] * 10**4), 4)
+        assert time.perf_counter() - started < 2
+        assert list(got) == [0, 10**4, 0, 0, 0]
+
+    def test_flat_product_exponent_is_refused_fast(self):
+        # the factors are multiplied pairwise; a left fold takes about 4x longer
+        text = "theta{n in N}(1; " + "*".join(["n"] * 2048) + ")"
+        started = time.perf_counter()
+        with pytest.raises(EvalError, match="degree 2048"):
+            expand(text, 4)
+        assert time.perf_counter() - started < 0.5
 
 
 # Text drawn from the grammar, then edited by inserting grammar tokens or

@@ -1,5 +1,7 @@
 import pytest
 
+from podium import manifest
+from podium.cli import main
 from podium.dsl import parse
 from podium.manifest import (
     IdentityRecord,
@@ -199,6 +201,21 @@ class TestOracleSuite:
         )
         assert report.entries[0].status == "error"
         assert not report.all_pass
+
+    def test_enumeration_mismatch_is_an_entry(self, monkeypatch, capsys):
+        count = manifest.count_by_enumeration
+        monkeypatch.setattr(
+            manifest,
+            "count_by_enumeration",
+            lambda fid, n, cap=None: count(fid, n, cap=cap) + (n == 3),
+        )
+        report = run_oracle_suite(functions=[FunctionId.P], caps={FunctionId.P: 10})
+        entry = report.entries[0]
+        assert entry.status == "mismatch"
+        assert entry.detail == "n=3: enumeration 4 != series 3"
+        assert not report.all_pass
+        assert main(["oracle", "--function", "p"]) == 1
+        assert "FAIL  p  " in capsys.readouterr().out
 
     def test_bad_cap_is_an_entry(self, no_walk):
         report = run_oracle_suite(functions=[FunctionId.P], caps={FunctionId.P: -1})
