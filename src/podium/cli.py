@@ -29,7 +29,7 @@ from .manifest import (
     run_oracle_suite,
     run_suite,
 )
-from .partitions import DEFAULT_CAPS, FunctionId, gf_series, table
+from .partitions import FunctionId, gf_series, table
 
 FALLBACK_ORDER = 300
 

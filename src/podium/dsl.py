@@ -26,9 +26,9 @@ exact integer division and errors on any remainder, and "ceil2" is the
 mathematical ceiling of half.  Parse errors carry the byte offset of the
 offending token and the set of tokens that would have been accepted.
 
-A theta exponent must be a polynomial of degree at most 2, and not a
-falling quadratic; one with ceil2 or (-1)^ must be such a polynomial in
-m on each parity class n = 2m + r, where it is summed on its own.
+A theta exponent must be, on each parity class n = 2m + r, a polynomial
+in m of degree at most 2 and not a falling quadratic, since the theta
+scan runs on each class on its own.
 
 Text is untrusted, so nesting deeper than MAX_DEPTH levels is a parse
 error: each bracket, unary minus, "subst", "theta", "ceil2" and "(-1)^"
@@ -493,25 +493,23 @@ def _times(p: Tuple[list, int], r: Tuple[list, int] = ([1], 1)) -> Tuple[list, i
     return out, d * e
 
 
-def _polynomial(node: IExpr, r: Optional[int]) -> Optional[Tuple[list, int]]:
-    """A theta body as (c, d): the polynomial sum_i c[i] x^i / d, d >= 1.
+def _polynomial(node: IExpr, r: int) -> Tuple[list, int]:
+    """A theta body on the class n = 2m + r as (c, d): sum_i c[i] m^i / d.
 
-    With r None, x is the variable, and ceil2 or (-1)^ gives None.  With
-    r = 0 or 1, x is m on the class n = 2m + r, where ceil2(A) and (-1)^(A)
-    are polynomials in m if A's coefficients past the constant one are
-    even integers, and an EvalError otherwise.  Products are multiplied
+    d >= 1.  ceil2(A) and (-1)^(A) are polynomials in m if A has integer
+    coefficients a and a fixed parity on the class: since m^i and m have
+    one parity, that of A is a[0] + m*sum(a[1:]), so sum(a[1:]) must be
+    even, and an EvalError is raised otherwise.  Products are multiplied
     pairwise, so a flat n*n*...*n costs what a balanced bracketing does.
     """
     if isinstance(node, IntLit):
         return [node.value], 1
     if isinstance(node, IVar):
-        return ([0, 1] if r is None else [r, 2]), 1
+        return [r, 2], 1
     if isinstance(node, Chain):
         parts = [_polynomial(node.first, r)]
         for op, operand in node.rest:
             parts.append(([1], operand.value) if op == "div" else _polynomial(operand, r))
-        if None in parts:
-            return None
         if node.is_sum:
             p, d = parts[0]
             for (op, _), (c, e) in zip(node.rest, parts[1:]):
@@ -521,36 +519,33 @@ def _polynomial(node: IExpr, r: Optional[int]) -> Optional[Tuple[list, int]]:
         while len(parts) > 1:
             parts = [_times(*parts[i : i + 2]) for i in range(0, len(parts), 2)]
         return parts[0]
-    if r is None:  # ceil2 or (-1)^
-        return None
     coeffs, d = _polynomial(node.child, r)
     a = [c // d for c in coeffs]
-    if any(c % d for c in coeffs) or any(c % 2 for c in a[1:]):
+    if any(c % d for c in coeffs) or sum(a[1:]) % 2:
         raise EvalError(
             f"theta exponent: cannot fix a ceil2 or (-1)^ argument's parity on n = 2m + {r}"
         )
+    parity = a[0] % 2
     if isinstance(node, ICeil2):
-        return [ceil_half(c) for c in a], 1
-    return [-1 if a[0] % 2 else 1], 1
+        return [a[0] + parity, *a[1:]], 2
+    return [-1 if parity else 1], 1
 
 
-def _check_exponent(exponent: IExpr) -> bool:
-    """Refuse a theta exponent that the scan would sum wrongly; True if it
-    is to be summed on each parity class n = 2m + r on its own.
+def _check_exponent(exponent: IExpr) -> None:
+    """Refuse a theta exponent that the scan would sum wrongly.
 
-    The scan in podium.theta stops at the first exponent above the order
-    that is not below the one before; that is exact only if the exponent
-    never turns downward after it.  A quadratic with a positive leading
-    coefficient never does; a falling line is refused by the scan when it
-    turns negative, and a constant at or below the order when the scan
-    runs out.  A falling quadratic or any higher degree is refused here.
-    An exponent with ceil2 or (-1)^ is read as a polynomial in m on each
-    class (see _polynomial), and each reading is held to the same rule.
+    The scan in podium.theta runs over each parity class n = 2m + r on its
+    own and stops at the first exponent above the order that is not below
+    the one before; that is exact only if the exponent never turns
+    downward on its class after it.  The exponent is read as a polynomial
+    in m on each class (see _polynomial).  A quadratic with a positive
+    leading coefficient never turns downward; a falling line is refused by
+    the scan when it turns negative, and a constant at or below the order
+    when the scan runs out.  A falling quadratic or any higher degree is
+    refused here.
     """
-    readings = [_polynomial(exponent, None)]
-    if readings[0] is None:
-        readings = [_polynomial(exponent, r) for r in (0, 1)]
-    for coeffs, _ in readings:
+    for r in (0, 1):
+        coeffs, _ = _polynomial(exponent, r)
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
         degree = len(coeffs) - 1
@@ -558,7 +553,6 @@ def _check_exponent(exponent: IExpr) -> bool:
             raise EvalError(f"theta exponent has degree {degree}; it must be at most 2")
         if degree == 2 and coeffs[2] < 0:
             raise EvalError("theta exponent is a quadratic that falls without bound")
-    return len(readings) == 2
 
 
 # ----------------------------------------------------------------------
@@ -693,20 +687,10 @@ def evaluate(node: Expr, order: int) -> Series:
         return -evaluate(node.child, order)
     if isinstance(node, Theta):
         weight, exponent = node.weight, node.exponent
-        if not _check_exponent(exponent):
-            return theta_series(
-                node.domain, lambda n: _ieval(weight, n), lambda n: _ieval(exponent, n), order
-            )
-        even, odd = (
-            theta_series(
-                node.domain,
-                lambda m, r=r: _ieval(weight, 2 * m + r),
-                lambda m, r=r: _ieval(exponent, 2 * m + r),
-                order,
-            )
-            for r in (0, 1)
+        _check_exponent(exponent)
+        return theta_series(
+            node.domain, lambda n: _ieval(weight, n), lambda n: _ieval(exponent, n), order
         )
-        return even + odd
     raise TypeError(f"not a series expression: {node!r}")
 
 

@@ -240,12 +240,18 @@ WEIGHTS = {
 }
 
 
-# Exponents with ceil2 or (-1)^ that a single scan once cut short, with
-# their sums at order 12; each is read on n = 2m and n = 2m + 1 apart.
+# Exponents with ceil2 or (-1)^ and their sums at order 12.  A single scan
+# over all n once cut the first three short; the last two were refused,
+# because their ceil2 or (-1)^ argument has odd coefficients in m, though
+# its parity is fixed on each class n = 2m + r, since x*x + x is even.
 PARITY_CLASS_SUMS = {
     "theta{n in N}(1; 1000*(-1)^(n) + 1000 + n)": [0, 1] * 6 + [0],
     "theta{n in N}(1; 100*ceil2(n) - 50*n + n)": [1, 0] * 6 + [1],
     "theta{n in Z}(1; 1000*(-1)^(n) + 1000 + n*n)": [0, 2] + [0] * 7 + [2, 0, 0, 0],
+    # 10 + n on every n
+    "theta{n in N}(1; 10*(-1)^(ceil2(n)*ceil2(n) + ceil2(n)) + n)": [0] * 10 + [1] * 3,
+    # the triangular numbers, each twice but 0
+    "theta{n in N}(1; ceil2(ceil2(n)*ceil2(n) + ceil2(n)))": [1, 2, 0, 2, 0, 0, 2, 0, 0, 0, 2, 0, 0],
 }
 
 
@@ -316,7 +322,7 @@ class TestThetaExponent:
 
     def test_random_parity_class_exponents_match_a_brute_force_sum(self):
         rng = random.Random(20261018)
-        for _ in range(200):
+        for i in range(400):
             a = rng.randint(0, 3)
             domain = rng.choice("NZ") if a else "N"
             # with a = 0, each class is a line rising by 2b + c >= 1 per step in m
@@ -324,11 +330,16 @@ class TestThetaExponent:
             c = rng.randint(-20, 20) if a else rng.randint(1 - 2 * b, 10)
             s, j = rng.randint(-20, 20), rng.randint(0, 3)
             square = rng.choice(["n*n", "ceil2(n)*ceil2(n)"])
+            # From body 200 on, two arguments with odd coefficients in m but
+            # a parity fixed on each class: x*x + x is even for any x.
+            u, t = (rng.randint(0, 2), rng.randint(-20, 20)) if i >= 200 else (0, 0)
 
             def e(n):
                 sq = n * n if square == "n*n" else ceil_half(n) ** 2
                 sign = -1 if (n + j) % 2 else 1
-                return a * sq + b * n + c * ceil_half(n + j) + s * sign
+                x, y = ceil_half(n + j), ceil_half(n)
+                fixed = u * ceil_half(x * x + x + n) + t * (-1 if (y * y + y + n + j) % 2 else 1)
+                return a * sq + b * n + c * ceil_half(n + j) + s * sign + fixed
 
             window = range(-300 if domain == "Z" else 0, 301)
             k = -min(e(n) for n in window) + rng.randint(0, 5)
@@ -336,6 +347,11 @@ class TestThetaExponent:
                 f"{a}*{square} {_signed(b)}*n {_signed(c)}*ceil2(n + {j})"
                 f" {_signed(s)}*(-1)^(n + {j}) {_signed(k)}"
             )
+            if i >= 200:
+                body += (
+                    f" + {u}*ceil2(ceil2(n + {j})*ceil2(n + {j}) + ceil2(n + {j}) + n)"
+                    f" {_signed(t)}*(-1)^(ceil2(n)*ceil2(n) + ceil2(n) + n + {j})"
+                )
             weight = rng.choice(sorted(WEIGHTS))
             order = rng.randint(0, 60)
             expected = [0] * (order + 1)

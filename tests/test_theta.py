@@ -122,6 +122,25 @@ class TestThetaSeries:
         with pytest.raises(ValueError):
             theta_series(Domain.NON_NEGATIVE, one, lambda n: n - 2, 4)
 
+    def test_each_parity_class_is_scanned_on_its_own(self):
+        # one scan over all n would stop at e(2) = 2002, after e(1) = 1
+        s = theta_series(
+            Domain.NON_NEGATIVE, one, lambda n: 1000 * (-1) ** n + 1000 + n, 12
+        )
+        assert list(s) == [0, 1] * 6 + [0]
+
+    @pytest.mark.parametrize("domain", list(Domain))
+    def test_flat_exponent_is_refused_after_a_million_and_one_steps(self, domain):
+        calls = [0]
+
+        def flat(n):
+            calls[0] += 1
+            return 3
+
+        with pytest.raises(DivergenceError):
+            theta_series(domain, one, flat, 5)
+        assert calls[0] == 10**6 + 1
+
     def test_dipping_window_not_cut_short(self):
         # exponent dips before growing; every point must still be collected
         s = theta_series(
