@@ -28,7 +28,8 @@ offending token and the set of tokens that would have been accepted.
 
 A theta exponent must be, on each parity class n = 2m + r, a polynomial
 in m of degree at most 2 and not a falling quadratic, since the theta
-scan runs on each class on its own.
+scan runs on each class on its own.  The evaluator that sums a theta
+body also reads it on a class, when n is the polynomial 2m + r.
 
 Text is untrusted, so nesting deeper than MAX_DEPTH levels is a parse
 error: each bracket, unary minus, "subst", "theta", "ceil2" and "(-1)^"
@@ -83,7 +84,7 @@ from .series import (
     pochhammer,
     q_power,
 )
-from .theta import Domain, ceil_half, theta_series
+from .theta import Domain, theta_series
 
 MAX_DEPTH = 100
 
@@ -171,12 +172,9 @@ class IVar:
 
 
 @dataclass(frozen=True)
-class ICeil2:
-    child: "IExpr"
-
-
-@dataclass(frozen=True)
-class ISignPow:
+class IFunc:
+    """ceil2(child), the ceiling of half, or (-1)^(child), by name."""
+    name: str
     child: "IExpr"
 
 
@@ -188,7 +186,7 @@ class Theta:
     exponent: "IExpr"
 
 
-IExpr = Union[IntLit, IVar, Chain, ICeil2, ISignPow]
+IExpr = Union[IntLit, IVar, Chain, IFunc]
 Expr = Union[IntLit, QPow, Poch, GfRef, Subst, Chain, Pow, Neg, Theta]
 
 
@@ -414,31 +412,29 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             return IntLit(self.expect_int())
-        if self.at("ceil2"):
-            self.advance()
-            self.expect("(")
-            return ICeil2(self.nested(tok, self.parse_iexpr, ")"))
-        if tok.kind == "name":
+        if tok.kind == "name" and tok.text != "ceil2":
             if tok.text != self.var:
                 raise ParseError(
                     f"unbound variable {tok.text!r}", tok.offset, (repr(self.var),)
                 )
             self.advance()
             return IVar(tok.text)
-        if self.at("("):
+        if not self.at("ceil2", "("):
+            self.fail(("integer", "variable", "'ceil2'", "'(-1)'", "'('"))
+        self.advance()
+        if tok.text == "(":
+            if not self.at("-"):
+                return self.nested(tok, self.parse_iexpr, ")")
             # "(-1)^(...)" is the only construct that may open with "(-"
+            minus = self.advance()
+            if not self.at("1"):
+                raise ParseError("only (-1)^(...) may begin with '(-'", minus.offset)
             self.advance()
-            if self.at("-"):
-                minus = self.advance()
-                if not self.at("1"):
-                    raise ParseError("only (-1)^(...) may begin with '(-'", minus.offset)
-                self.advance()
-                self.expect(")")
-                self.expect("^")
-                self.expect("(")
-                return ISignPow(self.nested(tok, self.parse_iexpr, ")"))
-            return self.nested(tok, self.parse_iexpr, ")")
-        self.fail(("integer", "variable", "'ceil2'", "'(-1)'", "'('"))
+            self.expect(")")
+            self.expect("^")
+        self.expect("(")
+        name = "ceil2" if tok.text == "ceil2" else "(-1)^"
+        return IFunc(name, self.nested(tok, self.parse_iexpr, ")"))
 
 
 def parse(text: str) -> Expr:
@@ -457,11 +453,12 @@ def parse(text: str) -> Expr:
 # evaluation
 # ----------------------------------------------------------------------
 
-# "+", "-" and "*" on ints and on Series alike
+# "+", "-" and "*" on ints, _OnClass values and Series alike
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def _ieval(node: IExpr, value: int) -> int:
+def _ieval(node: IExpr, value):
+    """A theta body at n = value: an int, or on a class an _OnClass."""
     if isinstance(node, IntLit):
         return node.value
     if isinstance(node, IVar):
@@ -477,58 +474,67 @@ def _ieval(node: IExpr, value: int) -> int:
             else:
                 total = _ARITH[op](total, _ieval(operand, value))
         return total
-    if isinstance(node, ICeil2):
-        return ceil_half(_ieval(node.child, value))
-    if isinstance(node, ISignPow):
-        return -1 if _ieval(node.child, value) % 2 else 1
+    if isinstance(node, IFunc):
+        # on ints and _OnClass alike; x + x % 2 is even, so "// 2" is exact
+        x = _ieval(node.child, value)
+        return (x + x % 2) // 2 if node.name == "ceil2" else 1 - 2 * (x % 2)
     raise TypeError(f"not an integer expression: {node!r}")
 
 
-def _times(p: Tuple[list, int], r: Tuple[list, int] = ([1], 1)) -> Tuple[list, int]:
-    (a, d), (b, e) = p, r
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out, d * e
+class _OnClass:
+    """A theta body on the class n = 2m + r, as sum_i c[i] m^i / d, d >= 1.
 
-
-def _polynomial(node: IExpr, r: int) -> Tuple[list, int]:
-    """A theta body on the class n = 2m + r as (c, d): sum_i c[i] m^i / d.
-
-    d >= 1.  ceil2(A) and (-1)^(A) are polynomials in m if A has integer
-    coefficients a and a fixed parity on the class: since m^i and m have
-    one parity, that of A is a[0] + m*sum(a[1:]), so sum(a[1:]) must be
-    even, and an EvalError is raised otherwise.  Products are multiplied
-    pairwise, so a flat n*n*...*n costs what a balanced bracketing does.
+    _ieval runs on it as on an int, with n = _OnClass([r, 2], 1, r).  "div"
+    and "//" divide exactly: ceil2 halves only even values, and the scan
+    finds an inexact div.  "% 2" is the parity, fixed on the class or an
+    EvalError: m^i and m have one parity, so with integer coefficients a
+    it is that of a[0] + m*sum(a[1:]).  A product past 2^16 bits is refused.
     """
-    if isinstance(node, IntLit):
-        return [node.value], 1
-    if isinstance(node, IVar):
-        return [r, 2], 1
-    if isinstance(node, Chain):
-        parts = [_polynomial(node.first, r)]
-        for op, operand in node.rest:
-            parts.append(([1], operand.value) if op == "div" else _polynomial(operand, r))
-        if node.is_sum:
-            p, d = parts[0]
-            for (op, _), (c, e) in zip(node.rest, parts[1:]):
-                sign = 1 if op == "+" else -1
-                p, d = [x * e + sign * y * d for x, y in zip_longest(p, c, fillvalue=0)], d * e
-            return p, d
-        while len(parts) > 1:
-            parts = [_times(*parts[i : i + 2]) for i in range(0, len(parts), 2)]
-        return parts[0]
-    coeffs, d = _polynomial(node.child, r)
-    a = [c // d for c in coeffs]
-    if any(c % d for c in coeffs) or sum(a[1:]) % 2:
-        raise EvalError(
-            f"theta exponent: cannot fix a ceil2 or (-1)^ argument's parity on n = 2m + {r}"
-        )
-    parity = a[0] % 2
-    if isinstance(node, ICeil2):
-        return [a[0] + parity, *a[1:]], 2
-    return [-1 if parity else 1], 1
+
+    def __init__(self, c: list, d: int, r: int):
+        self.c, self.d, self.r = c, d, r
+
+    def _lift(self, x) -> "_OnClass":
+        return x if isinstance(x, _OnClass) else _OnClass([x], 1, self.r)
+
+    def _plus(self, x: "_OnClass", sign: int) -> "_OnClass":
+        c = [u * x.d + sign * v * self.d for u, v in zip_longest(self.c, x.c, fillvalue=0)]
+        return _OnClass(c, self.d * x.d, self.r)
+
+    def __add__(self, x):
+        return self._plus(self._lift(x), 1)
+
+    def __sub__(self, x):
+        return self._plus(self._lift(x), -1)
+
+    def __rsub__(self, x):
+        return self._lift(x) - self
+
+    def __mul__(self, x):
+        x = self._lift(x)
+        out = [0] * (len(self.c) + len(x.c) - 1)
+        for i, u in enumerate(self.c):
+            if u:
+                for j, v in enumerate(x.c):
+                    out[i + j] += u * v
+        d = self.d * x.d
+        if sum(map(int.bit_length, out)) + d.bit_length() > 1 << 16:
+            raise EvalError("theta exponent is too large to read")
+        return _OnClass(out, d, self.r)
+
+    def __floordiv__(self, k: int) -> "_OnClass":
+        return _OnClass(self.c, self.d * k, self.r)
+
+    def __divmod__(self, k: int):
+        return self // k, 0
+
+    def __mod__(self, two: int) -> int:
+        if any(u % self.d for u in self.c) or sum(self.c[1:]) // self.d % 2:
+            why = "cannot fix a ceil2 or (-1)^ argument's parity"
+            raise EvalError(f"theta exponent: {why} on n = 2m + {self.r}")
+        return self.c[0] // self.d % 2
+
+    __radd__, __rmul__ = __add__, __mul__
 
 
 def _check_exponent(exponent: IExpr) -> None:
@@ -537,21 +543,19 @@ def _check_exponent(exponent: IExpr) -> None:
     The scan in podium.theta runs over each parity class n = 2m + r on its
     own and stops at the first exponent above the order that is not below
     the one before; that is exact only if the exponent never turns
-    downward on its class after it.  The exponent is read as a polynomial
-    in m on each class (see _polynomial).  A quadratic with a positive
-    leading coefficient never turns downward; a falling line is refused by
-    the scan when it turns negative, and a constant at or below the order
-    when the scan runs out.  A falling quadratic or any higher degree is
-    refused here.
+    downward on its class after it.  The exponent is read on each class as
+    a polynomial in m by _ieval itself, the evaluation that the scan sums
+    (see _OnClass).  A quadratic with a positive leading coefficient never
+    turns downward; a falling line is refused by the scan when it turns
+    negative, and a constant at or below the order when the scan runs out.
+    A falling quadratic or any higher degree is refused here.
     """
     for r in (0, 1):
-        coeffs, _ = _polynomial(exponent, r)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        degree = len(coeffs) - 1
+        c = (_OnClass([0], 1, r) + _ieval(exponent, _OnClass([r, 2], 1, r))).c
+        degree = max((i for i, u in enumerate(c) if u), default=0)
         if degree > 2:
             raise EvalError(f"theta exponent has degree {degree}; it must be at most 2")
-        if degree == 2 and coeffs[2] < 0:
+        if degree == 2 and c[2] < 0:
             raise EvalError("theta exponent is a quadratic that falls without bound")
 
 
@@ -770,10 +774,8 @@ def _as_base(node: Expr) -> str:
         )
     if isinstance(node, Neg):
         return "-" + _as_base(node.child)
-    if isinstance(node, ICeil2):
-        return f"ceil2({pretty(node.child)})"
-    if isinstance(node, ISignPow):
-        return f"(-1)^({pretty(node.child)})"
+    if isinstance(node, IFunc):
+        return f"{node.name}({pretty(node.child)})"
     return "(" + pretty(node) + ")"
 
 

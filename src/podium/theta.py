@@ -65,9 +65,8 @@ class Domain(enum.Enum):
 class QuadExp:
     """Exponent e(n) = (a*n^2 + b*n + c) / d, exactly integer-valued.
 
-    Divisibility by d is checked over a window of n at construction, so a
-    mis-transcribed exponent fails immediately instead of deep inside a
-    summation.  a >= 0 keeps the exponent eventually growing.
+    Divisibility by d is checked at construction, so a mis-transcribed
+    exponent fails at once.  a >= 0 keeps the exponent eventually growing.
     """
 
     a: int
@@ -80,7 +79,9 @@ class QuadExp:
             raise ValueError(f"denominator must be >= 1, got {self.d}")
         if self.a < 0:
             raise ValueError(f"quadratic coefficient must be >= 0, got {self.a}")
-        for n in range(-100, 101):
+        # d divides f(n) = a*n^2 + b*n + c at every n if it does at n = 0, 1
+        # and 2, since f(n) = f(0) + n (f(1) - f(0)) + C(n, 2) (f(2) - 2 f(1) + f(0))
+        for n in (0, 1, 2):
             if (self.a * n * n + self.b * n + self.c) % self.d:
                 raise ValueError(
                     f"({self.a}*n^2 + {self.b}*n + {self.c}) not divisible "

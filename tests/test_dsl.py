@@ -11,7 +11,7 @@ from podium.dsl import (
     Chain,
     EvalError,
     GfRef,
-    ISignPow,
+    IFunc,
     IVar,
     IntLit,
     Neg,
@@ -27,6 +27,8 @@ from podium.dsl import (
     parse,
     pretty,
     tokenize,
+    _ieval,
+    _OnClass,
 )
 from podium.manifest import ManifestError, parse_manifest
 from podium.partitions import FunctionId
@@ -43,7 +45,7 @@ class TestParse:
 
     def test_theta_node(self):
         got = parse("theta{n in Z}((-1)^(n); 2*n*n + n)")
-        weight = ISignPow(IVar("n"))
+        weight = IFunc("(-1)^", IVar("n"))
         product = Chain(IntLit(2), (("*", IVar("n")), ("*", IVar("n"))))
         exponent = Chain(product, (("+", IVar("n")),))
         assert got == Theta(Domain.ALL_INTEGERS, "n", weight, exponent)
@@ -374,6 +376,42 @@ class TestThetaExponent:
         with pytest.raises(EvalError, match="^theta exponent"):
             expand(f"theta{{n in N}}(1; {body})", 10)
 
+    def test_reading_a_body_on_a_class_equals_evaluating_it(self):
+        rng = random.Random(20261019)
+
+        def body(depth):
+            if depth == 0 or rng.random() < 0.3:
+                return rng.choice(["n", "n", "0", "1", "2", "3", "7"])
+            kind = rng.randrange(6)
+            if kind < 3:
+                return f"({body(depth - 1)}) {'+-*'[kind]} ({body(depth - 1)})"
+            if kind == 3:
+                return f"({body(depth - 1)}) div {rng.choice([1, 2, 2, 3, 4])}"
+            return f"{rng.choice(['ceil2', '(-1)^'])}({body(depth - 1)})"
+
+        read = 0
+        for _ in range(1500):
+            ast = parse(f"theta{{n in N}}(1; {body(4)})")
+            assert parse(pretty(ast)) == ast
+            for r in (0, 1):
+                values = {}
+                for m in range(-20, 21):
+                    try:
+                        values[m] = _ieval(ast.exponent, 2 * m + r)
+                    except EvalError:
+                        pass
+                try:
+                    got = _ieval(ast.exponent, _OnClass([r, 2], 1, r))
+                except EvalError as exc:
+                    # a constant inexact div is inexact at every n of the class
+                    assert "not exact" not in str(exc) or not values, pretty(ast)
+                    continue
+                read += 1
+                c, d = (got.c, got.d) if isinstance(got, _OnClass) else ([got], 1)
+                for m, value in values.items():
+                    assert sum(u * m**i for i, u in enumerate(c)) == value * d, pretty(ast)
+        assert read > 1500
+
     def test_a_class_that_never_grows_is_refused(self):
         # 5 on every even n
         with pytest.raises(DivergenceError):
@@ -534,12 +572,21 @@ class TestDepthBound:
         assert list(got) == [0, 10**4, 0, 0, 0]
 
     def test_flat_product_exponent_is_refused_fast(self):
-        # the factors are multiplied pairwise; a left fold takes about 4x longer
+        # read by a left fold that skips zero coefficients: on n = 2m, (2m)^k has one
         text = "theta{n in N}(1; " + "*".join(["n"] * 2048) + ")"
         started = time.perf_counter()
         with pytest.raises(EvalError, match="degree 2048"):
             expand(text, 4)
         assert time.perf_counter() - started < 0.5
+
+    def test_dense_product_exponent_is_refused_fast(self, capsys):
+        # (2m + 1)^k has k + 1 coefficients of up to 1.6k bits each
+        text = "theta{n in N}(1; " + "*".join(["(n+1)"] * 2048) + ")"
+        started = time.perf_counter()
+        assert main(["expand", "--order", "4", "--", text]) == 2
+        assert time.perf_counter() - started < 0.5
+        err = capsys.readouterr().err
+        assert err == "podium: theta exponent is too large to read\n"
 
 
 # Text drawn from the grammar, then edited by inserting grammar tokens or

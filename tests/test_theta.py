@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from podium.dsl import named_theta
@@ -78,6 +80,17 @@ class TestQuadExp:
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
             QuadExp(1, 0, 1, 2)  # (n^2 + 1)/2 is not always integral
+
+    def test_divisibility_verdicts_match_a_brute_force_check(self):
+        # checked at n = 0, 1 and 2 only, which decides it for every n
+        for a, b, c, d in itertools.product(range(4), range(-3, 4), range(-3, 4), range(1, 7)):
+            divisible = all((a * n * n + b * n + c) % d == 0 for n in range(-300, 301))
+            try:
+                QuadExp(a, b, c, d)
+            except ValueError:
+                assert not divisible, (a, b, c, d)
+            else:
+                assert divisible, (a, b, c, d)
 
     def test_negative_quadratic_rejected(self):
         with pytest.raises(ValueError):
