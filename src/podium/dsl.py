@@ -56,11 +56,12 @@ every poch in it is one.  The rewrites, all classical:
 Anything else has no normal form: theta sums, polynomials, other
 constants, sums, and a poch that is no eta quotient, such as (q; q^4).
 The sparse eta kernels of :mod:`podium.series` expand a whole eta
-quotient, and apply the merged eta factors of a product chain to the
-product of its other factors; the rest is walked node by node, so errors
-and their messages are the walk's.  Below order NEWTON_BASE (32), the
-series layer's own switch between small and large orders, all of it is
-walked; the kernels gain nothing measurable there.
+quotient, once per vector and order (see :func:`evaluate`), and apply
+the merged eta factors of a product chain to the product of its other
+factors; the rest is walked node by node, so errors and their messages
+are the walk's.  Below order NEWTON_BASE (32), the series layer's own
+switch between small and large orders, all of it is walked; the kernels
+gain nothing measurable there.
 """
 
 from __future__ import annotations
@@ -650,6 +651,12 @@ def _walk(operands, order: int) -> Series:
     return constant(1, order) if value is None else value
 
 
+@lru_cache(maxsize=8)
+def _eta_expansion(etas: Tuple[Tuple[int, int], ...], order: int) -> Series:
+    """prod_b (q^b; q^b)_oo^{a_b} at `order`, for the sorted (b, a_b) pairs."""
+    return eta_quotient(constant(1, order), dict(etas))
+
+
 def evaluate(node: Expr, order: int) -> Series:
     """Evaluate a parsed expression to an exact Series at `order`.
 
@@ -659,6 +666,15 @@ def evaluate(node: Expr, order: int) -> Series:
     walked product of the other factors.  Everything else, and everything
     below NEWTON_BASE, is walked node by node, so errors and their
     messages are the walk's.
+
+    A whole eta quotient is memoized, keyed on its sorted (b, a_b) pairs
+    and the order, for the 8 vectors used last: the bundled manifest's 64
+    such sides use 27 vectors per order and make 29 expansions (6 to 12
+    entries save 35 of the 37 repeats, 16 save all).  An entry is the
+    Series returned; at MAX_ORDER the largest bundled side's takes 16 MiB,
+    so 8 such take about 130 MiB, against up to 64 series in
+    partitions.gf_series, which shares the memo's objects, and 256 in
+    pochhammer.  Series are immutable, so a hit is bit-identical.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -671,6 +687,8 @@ def evaluate(node: Expr, order: int) -> Series:
                 others.append((op, factor))
             else:
                 etas = _merged(etas, part, 1 if op == "*" else -1)
+        if not others:
+            return _eta_expansion(tuple(sorted(etas.items())), order)
         if len(others) < len(factors):
             return eta_quotient(_walk(others, order), etas)
     if isinstance(node, IntLit):

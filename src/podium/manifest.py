@@ -177,7 +177,12 @@ class Status:
 
 @dataclass(frozen=True)
 class SuiteEntry:
-    """Outcome of one checked identity or one oracle comparison."""
+    """Outcome of one checked identity or one oracle comparison.
+
+    `seconds` is the check's own wall time.  Sides that share an eta
+    quotient share its memoized expansion (see dsl.evaluate): the record
+    that expands it is charged, and a later one that finds it is not.
+    """
 
     name: str
     status: str

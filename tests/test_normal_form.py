@@ -13,7 +13,7 @@ import pytest
 
 from conftest import outcome, reference_evaluate, reference_inverse, reference_pochhammer
 from podium import dsl
-from podium.dsl import evaluate, expand, normal_form, parse
+from podium.dsl import evaluate, expand, normal_form, parse, pretty
 from podium.manifest import bundled_manifest
 from podium.series import NEWTON_BASE, Series, constant
 from podium import series
@@ -226,6 +226,51 @@ class TestLayerCalls:
     def test_below_the_cutoff_the_tree_is_walked(self, calls):
         expand("1 / poch(q^1, q^1)", NEWTON_BASE - 1)
         assert calls == ["pochhammer", "inverse"]
+
+
+class TestMemo:
+    """A whole eta quotient is expanded once per vector and order."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        dsl._eta_expansion.cache_clear()
+        yield
+        dsl._eta_expansion.cache_clear()
+
+    @pytest.mark.parametrize("order", [NEWTON_BASE, 300])
+    def test_warm_memo_equals_the_tree_walk(self, order):
+        sides = [parse(text) for rec in bundled_manifest() for text in (rec.lhs, rec.rhs)]
+        sides = [node for node in sides if normal_form(node) is not None]
+        for node in sides:
+            evaluate(node, order)
+        for node in reversed(sides):
+            got, expected = evaluate(node, order), reference_evaluate(node, order)
+            assert got.coeffs == expected.coeffs, pretty(node)
+        assert dsl._eta_expansion.cache_info().hits > len(sides)
+
+    def test_two_spellings_of_one_vector_share_an_entry(self):
+        pod = evaluate(parse("gf(pod)"), ORDER)
+        spelled = evaluate(parse("poch(-q^1, q^2) / poch(q^2, q^2)"), ORDER)
+        assert spelled is pod
+        info = dsl._eta_expansion.cache_info()
+        assert (info.hits, info.currsize) == (1, 1)
+
+    def test_each_order_has_its_own_entry(self):
+        node = parse("gf(pod)")
+        for order in (40, 41):
+            # Series == compares the common prefix; coeffs pin the order too
+            assert evaluate(node, order).coeffs == reference_evaluate(node, order).coeffs
+        assert dsl._eta_expansion.cache_info().currsize == 2
+
+    def test_equal_vector_record_expands_once(self, monkeypatch):
+        seen = []
+        kernel = dsl.eta_quotient
+        monkeypatch.setattr(
+            dsl, "eta_quotient", lambda *args: seen.append(args[1]) or kernel(*args)
+        )
+        rec = next(rec for rec in bundled_manifest() if rec.id == "pod-product-ratio")
+        assert dsl.check(parse(rec.lhs), parse(rec.rhs), rec.order) is None
+        assert seen == [{1: -1, 2: 1, 4: -1}]
 
 
 class TestEtaKernels:
