@@ -15,21 +15,27 @@ iteration above them.  The tests compare every kernel bit for bit with
 the plain quadratic algorithms they replace.
 
 Products of powers of (q^b; q^b)_oo never take the dense path
-(:func:`eta_quotient`).  Euler's pentagonal sum and Jacobi's sum for the
-cube have about sqrt(N/b) terms each, so multiplying by (q^b; q^b)^{1 or
-3} is that many slice updates, and dividing by one is the linear
-recurrence g_n = c_n - sum_e w_e g_{n-e} over those exponents, the kind
-of recurrence the pod paper derives (Andrews, The Theory of Partitions,
-ch. 1-2).  A power past the cube comes from J. C. P. Miller's recurrence
-in O(N sqrt(N/b)) steps for any exponent and is multiplied in once.
+(:func:`eta_quotient`).  A theta row is a Jacobi triple product
+f(+-q^u, +-q^v) that is an eta quotient -- Euler's pentagonal sum,
+phi(+-q), psi(+-q) -- stored as data, with Jacobi's sum for the cube
+beside them.  Each has about sqrt(N/b) terms at stride b, so
+multiplying by one is that many slice updates, and dividing by one is
+the linear recurrence g_n = c_n - sum_e w_e g_{n-e} over those
+exponents, the kind of recurrence the pod paper derives (Andrews, The
+Theory of Partitions, ch. 1-2).  A planner writes each vector {b: a_b}
+once as a few such passes: pod's generating function is 1/psi(-q), one
+division.  An exponent the rows leave past the cube comes from
+J. C. P. Miller's recurrence in O(N sqrt(N/b)) steps for any exponent
+and is multiplied in once.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, Optional
 
 
@@ -294,17 +300,17 @@ def pochhammer(sign: int, a: int, b: int, order: int) -> Series:
 # A term list is the sparse polynomial 1 + sum w q^e as (e, w) pairs in
 # increasing e, every e in 1..limit.
 
-def _pentagonal(limit: int) -> list:
-    """Euler: (q; q)_oo = sum_j (-1)^j q^{j(3j-1)/2} over all integers j."""
-    terms = []
-    j = 1
-    while j * (3 * j - 1) // 2 <= limit:
-        sign = -1 if j & 1 else 1
-        terms.append((j * (3 * j - 1) // 2, sign))
-        if j * (3 * j + 1) // 2 <= limit:
-            terms.append((j * (3 * j + 1) // 2, sign))
-        j += 1
-    return terms
+def _theta_terms(u: int, v: int, s: int, limit: int) -> list:
+    """Ramanujan's f(s q^u, s q^v) = sum_{n in Z} s^n q^{u n(n+1)/2 + v n(n-1)/2}
+    up to q^limit.  When u == v, n and -n share an exponent and their
+    weights are merged."""
+    weights = {}
+    for step in (1, -1):
+        n = step
+        while (e := (u * n * (n + 1) + v * n * (n - 1)) // 2) <= limit:
+            weights[e] = weights.get(e, 0) + (s if n & 1 else 1)
+            n += step
+    return sorted(weights.items())
 
 
 def _jacobi(limit: int) -> list:
@@ -317,15 +323,22 @@ def _jacobi(limit: int) -> list:
     return terms
 
 
+def _scale(terms: list) -> int:
+    """k when every weight is +k or -k, as in each theta row; else 0."""
+    scales = {abs(w) for _, w in terms}
+    return scales.pop() if len(scales) == 1 else 0
+
+
 def _times(c: list, terms: list) -> list:
     """c times the term list, truncated to len(c): one slice update per term."""
     out = list(c)
-    for e, w in terms:
-        if w == 1:
-            out[e:] = map(operator.add, out[e:], c)
-        elif w == -1:
-            out[e:] = map(operator.sub, out[e:], c)
-        else:
+    k = _scale(terms)
+    if k:
+        kc = c if k == 1 else [k * x for x in c]
+        for e, w in terms:
+            out[e:] = map(operator.add if w > 0 else operator.sub, out[e:], kc)
+    else:
+        for e, w in terms:
             out[e:] = map(operator.add, out[e:], map(w.__mul__, c))
     return out
 
@@ -347,25 +360,120 @@ def _picker(exponents: list):
 
 def _divide(c: list, terms: list) -> list:
     """g with g * (term list) = c, one coefficient at a time:
-    g_n = c_n - sum_e w_e g_{n-e}, the recurrence of the paper's kind."""
+    g_n = c_n - sum_e w_e g_{n-e}, the recurrence of the paper's kind.
+    When every weight is +-k the sum is k times two plain sums."""
     exponents = [e for e, _ in terms]
     weights = [w for _, w in terms]
-    plus = [e for e, w in terms if w == 1]
-    minus = [e for e, w in terms if w == -1]
-    signs_only = len(plus) + len(minus) == len(terms)  # Euler's sum
+    plus = [e for e, w in terms if w > 0]
+    minus = [e for e, w in terms if w < 0]
+    k = _scale(terms)
     g = []
     for start, stop in _runs(exponents, len(c)):
-        if signs_only:
+        if k:
             plus_at = _picker(plus[: bisect_right(plus, start)])
             minus_at = _picker(minus[: bisect_right(minus, start)])
             for n in range(start, stop):
-                g.append(c[n] - sum(plus_at(g)) + sum(minus_at(g)))
+                g.append(c[n] - k * (sum(plus_at(g)) - sum(minus_at(g))))
         else:
-            k = bisect_right(exponents, start)
-            pick, ws = _picker(exponents[:k]), weights[:k]
+            i = bisect_right(exponents, start)
+            pick, ws = _picker(exponents[:i]), weights[:i]
             for n in range(start, stop):
                 g.append(c[n] - sum(map(operator.mul, ws, pick(g))))
     return g
+
+
+# The rows: each is a term-list builder, the eta quotient prod (q^b; q^b)^{a_b}
+# it expands, as {b: a_b}, and its cost per pass at stride 1.  A pass at
+# stride b touches about len(c) coefficients for each of density *
+# sqrt(limit / b) terms, so its cost relative to other passes of the same
+# length is density / sqrt(b) whatever the order; terms whose weights vary
+# cost about two plain ones each.  The theta rows are the Jacobi triple
+# products f(s q^u, s q^v) = (-s q^u; q^{u+v}) (-s q^v; q^{u+v})
+# (q^{u+v}; q^{u+v}) that are eta quotients (Berndt, Ramanujan's Notebooks
+# III, ch. 16, entry 22); their n runs over about 2 sqrt(2 limit / (u + v))
+# integers, half as many exponents when u == v.
+_ROWS = tuple(
+    (partial(_theta_terms, u, v, s), vector, 2 * math.sqrt(2 / (u + v)) / (1 + (u == v)))
+    for (u, v, s), vector in (
+        ((1, 2, -1), {1: 1}),               # f(-q, -q^2) = (q; q), Euler
+        ((1, 1, -1), {1: 2, 2: -1}),        # f(-q, -q) = phi(-q)
+        ((1, 1, 1), {1: -2, 2: 5, 4: -2}),  # f(q, q) = phi(q)
+        ((1, 3, 1), {1: -1, 2: 2}),         # f(q, q^3) = psi(q)
+        ((1, 3, -1), {1: 1, 2: -1, 4: 1}),  # f(-q, -q^3) = psi(-q)
+    )
+)
+_EULER = _ROWS[0]
+_JACOBI = (_jacobi, {1: 3}, 2 * math.sqrt(2))
+
+# A dense product of two series costs about three Euler passes at stride 1
+# (measured at orders 300 and 1000).
+_PRODUCT_COST = 3 * _EULER[2]
+
+
+@lru_cache(maxsize=4096)
+def _kernel_cost(b: int, a: int) -> float:
+    """The cost of (q^b; q^b)^a by the Euler, Jacobi or Miller kernel alone.
+    Miller's recurrence sums two of Euler's term lists for each of limit
+    coefficients, then takes one dense product."""
+    if abs(a) <= 2:
+        return abs(a) * _EULER[2] / math.sqrt(b)
+    if abs(a) == 3:
+        return _JACOBI[2] / math.sqrt(b)
+    return 2 * _EULER[2] / b**1.5 + _PRODUCT_COST
+
+
+def _peel(rest: dict) -> list:
+    """The theta-row passes for one chain b, 2b, 4b, ... of a vector,
+    taken off `rest` in place, greedily: while one lowers the total cost,
+    the row, stride and direction that lowers it most.  Each step adds a
+    row's cost and lowers the total, which starts at the kernels' cost,
+    so the steps are bounded by that cost over the cheapest row's,
+    whatever the size of the a_b."""
+    strides = {b // d for b in rest for d in (1, 2, 4) if b % d == 0}
+    moves = [(row[0], s, direction, row[2] / math.sqrt(s),
+              [(s * k, direction * a) for k, a in row[1].items()])
+             for row in _ROWS[1:] for s in sorted(strides) for direction in (1, -1)]
+    passes = []
+    while True:
+        best, best_gain = None, 1e-9
+        for move in moves:
+            gain = -move[3]
+            for key, a in move[4]:
+                old = rest.get(key, 0)
+                gain += _kernel_cost(key, old) - _kernel_cost(key, old - a)
+            if gain > best_gain:
+                best, best_gain = move, gain
+        if best is None:
+            return passes
+        builder, s, direction, _, keys = best
+        for key, a in keys:
+            rest[key] = rest.get(key, 0) - a
+        passes.append((builder, s, direction))
+
+
+@lru_cache(maxsize=256)
+def _plan(etas: tuple) -> tuple:
+    """How eta_quotient applies the sorted nonzero (b, a_b) pairs: the
+    Miller factors (b, a_b), and the passes (builder, stride, +1 to
+    multiply or -1 to divide).
+
+    A row spans b, 2b and 4b at most, so each chain of keys with one odd
+    part is planned on its own (_peel); whatever the rows leave goes to
+    the Euler, Jacobi and Miller kernels.
+    """
+    chains = {}
+    for b, a in etas:
+        chains.setdefault(b // (b & -b), {})[b] = a
+    passes, millers = [], []
+    for rest in chains.values():
+        passes += _peel(rest)
+        for b, a in sorted(rest.items()):
+            if abs(a) > 3:
+                millers.append((b, a))
+            elif a:
+                builder = _JACOBI[0] if abs(a) == 3 else _EULER[0]
+                passes += [(builder, b, 1 if a > 0 else -1)] * (1 if abs(a) == 3 else abs(a))
+    return tuple(millers), tuple(passes)
 
 
 def _eta_power(a: int, limit: int) -> list:
@@ -377,7 +485,7 @@ def _eta_power(a: int, limit: int) -> list:
     with f Euler's pentagonal sum, so each g_n costs O(sqrt(n)) terms
     whatever the size of a.  The division by n is exact.
     """
-    terms = _pentagonal(limit)
+    terms = _EULER[0](limit)
     exponents = [e for e, _ in terms]
     weights = [e * w for e, w in terms]
     plus = [e for e, w in terms if w == 1]
@@ -398,29 +506,34 @@ def _eta_power(a: int, limit: int) -> list:
 def eta_quotient(base: Series, etas: dict) -> Series:
     """base * prod_b (q^b; q^b)_oo^{a_b}, for etas = {b: a_b}.
 
-    Exponents +-1 and +-2 multiply by Euler's pentagonal sum or divide by
-    it once or twice, +-3 by Jacobi's sum once, each in O(N sqrt(N/b))
-    integer additions.  Any larger |a_b| is expanded on its own by
-    Miller's recurrence at order N // b and multiplied in once, so no
-    loop runs |a_b| times.
+    The vector is applied as the short list of sparse passes that _plan
+    picks for it, once per vector: each pass multiplies by a theta row,
+    the term list of about sqrt(N/b) terms of a triple product that is an
+    eta quotient, or divides by one through its recurrence.  pod's
+    {1: -1, 2: 1, 4: -1} is one division by psi(-q) = f(-q, -q^3), and
+    phi(+-q) and psi(q) are rows too.  What the rows leave goes to the
+    kernels: a_b = +-1 or +-2 to Euler's pentagonal sum once or twice,
+    +-3 to Jacobi's sum once, and any larger |a_b| to Miller's
+    recurrence at order N // b, multiplied in once.  No plan costs more
+    than those kernels alone, and none runs a loop |a_b| times.
     """
     order = base.order
     c = list(base.coeffs)
+    # (q^b; q^b)_oo is 1 up to q^order once b > order
+    millers, passes = _plan(tuple(sorted((b, a) for b, a in etas.items() if a and b <= order)))
     # Miller's factors first: on a base of 1 the first one is the result
-    for b, a in sorted(etas.items(), key=lambda item: abs(item[1]) <= 3):
+    for b, a in millers:
         limit = order // b
-        if not a or not limit:
+        if not limit:
             continue
-        if abs(a) > 3:
-            power = [0] * (order + 1)
-            power[:: b] = _eta_power(a, limit)
-            unit = c[0] == 1 and not any(c[1:])
-            c = power if unit else _product(c, power, order + 1)
-            continue
-        terms = [(b * e, w) for e, w in (_jacobi if abs(a) == 3 else _pentagonal)(limit)]
-        kernel = _times if a > 0 else _divide
-        for _ in range(1 if abs(a) == 3 else abs(a)):
-            c = kernel(c, terms)
+        power = [0] * (order + 1)
+        power[:: b] = _eta_power(a, limit)
+        unit = c[0] == 1 and not any(c[1:])
+        c = power if unit else _product(c, power, order + 1)
+    for builder, b, direction in passes:
+        if order // b:
+            terms = [(b * e, w) for e, w in builder(order // b)]
+            c = (_times if direction > 0 else _divide)(c, terms)
     return Series(c)
 
 

@@ -6,12 +6,16 @@ evaluator as a whole against the plain tree walk it replaced: the same
 coefficients, or the same exception with the same message.
 """
 
+import itertools
+import math
 import random
 import time
 
 import pytest
 
-from conftest import outcome, reference_evaluate, reference_inverse, reference_pochhammer
+from conftest import (
+    outcome, reference_evaluate, reference_inverse, reference_pochhammer, reference_product,
+)
 from podium import dsl
 from podium.dsl import evaluate, expand, normal_form, parse, pretty
 from podium.manifest import bundled_manifest
@@ -273,6 +277,18 @@ class TestMemo:
         assert seen == [{1: -1, 2: 1, 4: -1}]
 
 
+def schoolbook(base, exponents):
+    """base * prod (q^b; q^b)^{a_b}, one reference factor or inverse at a time."""
+    expected = base
+    for b, a in exponents.items():
+        factor = reference_pochhammer(1, b, b, base.order)
+        if a < 0:
+            factor = reference_inverse(factor)
+        for _ in range(abs(a)):
+            expected = expected * factor
+    return expected
+
+
 class TestEtaKernels:
     @pytest.mark.parametrize("seed", range(4))
     def test_equal_the_schoolbook_product(self, seed):
@@ -281,14 +297,19 @@ class TestEtaKernels:
             order = rng.randint(0, 90)
             exponents = {rng.randint(1, 6): rng.randint(-7, 7) for _ in range(rng.randint(0, 3))}
             base = Series([rng.randint(-5, 5) for _ in range(order + 1)])
-            expected = base
-            for b, a in exponents.items():
-                factor = reference_pochhammer(1, b, b, order)
-                if a < 0:
-                    factor = reference_inverse(factor)
-                for _ in range(abs(a)):
-                    expected = expected * factor
-            assert series.eta_quotient(base, exponents) == expected, exponents
+            assert series.eta_quotient(base, exponents) == schoolbook(base, exponents), exponents
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stride_chains_equal_the_schoolbook_product(self, seed):
+        # the theta rows span b, 2b and 4b, so whole chains exercise them
+        rng = random.Random(seed)
+        for _ in range(20):
+            order = rng.randint(0, 90)
+            b = rng.randint(1, 3)
+            chain = rng.choice([(b, 2 * b, 4 * b), (3, 6, 12)])
+            exponents = {k: rng.randint(-7, 7) for k in chain}
+            base = Series([rng.randint(-5, 5) for _ in range(order + 1)])
+            assert series.eta_quotient(base, exponents) == schoolbook(base, exponents), exponents
 
     def test_large_exponents_take_one_pass(self):
         started = time.perf_counter()
@@ -297,3 +318,135 @@ class TestEtaKernels:
         assert got[1] == -(10**6)
         assert got[2] == 10**6 * (10**6 - 3) // 2
 
+    def test_a_stride_past_the_order_is_one(self):
+        # no cost is taken of a stride too large for a float
+        got = series.eta_quotient(constant(1, 40), {1: -1, 10**400: 1, 3 * 10**400: -2})
+        assert got == reference_inverse(reference_pochhammer(1, 1, 1, 40))
+
+    @pytest.mark.parametrize("etas", [{1: 10**6, 2: -10**6}, {1: -10**6, 2: 2 * 10**6}])
+    def test_large_exponents_on_a_chain_are_two_miller_factors(self, etas):
+        started = time.perf_counter()
+        got = series.eta_quotient(constant(1, 200), etas)
+        assert time.perf_counter() - started < 0.5
+        # Miller's expansions of (q; q)^a1 and (q^2; q^2)^a2, multiplied
+        halves = [0] * 201
+        halves[::2] = series._eta_power(etas[2], 100)
+        assert got.coeffs == (Series(series._eta_power(etas[1], 200)) * Series(halves)).coeffs
+
+
+def row_factors(row):
+    """The Pochhammer factors of a row, as reference_pochhammer's (sign, a, b):
+    f(s q^u, s q^v) = (-s q^u; q^M) (-s q^v; q^M) (q^M; q^M) with M = u + v,
+    and Jacobi's cube (q; q)^3."""
+    if row is series._JACOBI:
+        return [(1, 1, 1)] * 3
+    u, v, s = row[0].args
+    return [(-s, u, u + v), (-s, v, u + v), (1, u + v, u + v)]
+
+
+ROWS = [*series._ROWS, series._JACOBI]
+ROW_NAMES = ["euler", "phi(-q)", "phi(q)", "psi(q)", "psi(-q)", "jacobi"]
+
+
+class TestRows:
+    @pytest.mark.parametrize("row", ROWS, ids=ROW_NAMES)
+    def test_term_list_is_the_product_of_its_factors(self, row):
+        expected = constant(1, 300)
+        for sign, a, b in row_factors(row):
+            expected = reference_product(expected, reference_pochhammer(sign, a, b, 300))
+        terms = [(e, w) for e, w in enumerate(expected.coeffs) if w and e]
+        # a truncated series is the series at the lower order
+        for limit in range(301):
+            assert row[0](limit) == [(e, w) for e, w in terms if e <= limit], limit
+
+    @pytest.mark.parametrize("row", ROWS, ids=ROW_NAMES)
+    def test_vector_is_the_eta_quotient_of_its_factors(self, row):
+        # c[n] is the exponent of (1 - q^n) in the product of the factors
+        size = 48
+        c = [0] * (size + 1)
+        for sign, a, b in row_factors(row):
+            for n in range(a, size + 1, b):
+                if sign == 1:
+                    c[n] += 1
+                else:  # 1 + q^n = (1 - q^2n) / (1 - q^n)
+                    c[n] -= 1
+                    if 2 * n <= size:
+                        c[2 * n] += 1
+        # prod (q^b; q^b)^{a_b} has c(n) = sum_{b | n} a_b
+        vector = {}
+        for b in range(1, size + 1):
+            a = c[b] - sum(vector.get(d, 0) for d in range(1, b) if b % d == 0)
+            if a:
+                vector[b] = a
+        assert vector == row[1]
+        # where every factor has a normal form of its own, they merge to it
+        forms = [dsl._poch_etas(*factor) for factor in row_factors(row)]
+        if None not in forms:
+            merged = {}
+            for form in forms:
+                merged = dsl._merged(merged, form, 1)
+            assert merged == row[1]
+
+
+def plan_vector(plan):
+    """The vector a plan applies: its Miller factors and each pass's row."""
+    millers, passes = plan
+    vector = dict(millers)
+    rows = {row[0]: row[1] for row in ROWS}
+    for builder, b, direction in passes:
+        for k, a in rows[builder].items():
+            vector[b * k] = vector.get(b * k, 0) + direction * a
+    return {b: a for b, a in vector.items() if a}
+
+
+def plan_cost(plan):
+    """A plan's cost in the planner's model: each Miller factor's, and each
+    pass's row cost over sqrt(stride)."""
+    millers, passes = plan
+    costs = {row[0]: row[2] for row in ROWS}
+    return (sum(series._kernel_cost(b, a) for b, a in millers)
+            + sum(costs[builder] / math.sqrt(b) for builder, b, _ in passes))
+
+
+class TestPlanner:
+    def test_pod_is_one_division(self, monkeypatch):
+        seen = []
+        for name in ("_times", "_divide"):
+            kernel = getattr(series, name)
+            monkeypatch.setattr(
+                series, name, lambda c, terms, name=name, kernel=kernel: seen.append(name) or kernel(c, terms))
+        dsl._eta_expansion.cache_clear()
+        got = evaluate(parse("gf(pod)"), 1000)
+        dsl._eta_expansion.cache_clear()
+        assert seen == ["_divide"]
+        assert got.coeffs[:101] == reference_evaluate(parse("gf(pod)"), 100).coeffs
+
+    def test_no_plan_costs_more_than_the_kernels_alone(self):
+        # Every row spans b, 2b and 4b at most, so the planner plans each
+        # chain of one odd part on its own: whole windows of three strides
+        # cover every chain of strides in {1, 2, 3, 4, 6, 8, 12} but
+        # (1, 2, 4, 8), and seeded vectors over all seven strides the rest.
+        def check(vector):
+            key = tuple(sorted((b, a) for b, a in vector.items() if a))
+            plan = series._plan(key)
+            assert plan_vector(plan) == dict(key), key
+            kernels = sum(series._kernel_cost(b, a) for b, a in key)
+            assert plan_cost(plan) <= kernels + 1e-9, key
+
+        for window in ((1, 2, 4), (2, 4, 8), (3, 6, 12)):
+            for exponents in itertools.product(range(-7, 8), repeat=3):
+                check(dict(zip(window, exponents)))
+        rng = random.Random(0)
+        for _ in range(1000):
+            check({b: rng.randint(-7, 7) for b in (1, 2, 3, 4, 6, 8, 12)})
+
+    @pytest.mark.parametrize("vector, passes", [
+        ({1: -1, 2: 1, 4: -1}, 1),   # pod: 1 / psi(-q)
+        ({1: -2, 2: 5, 4: -2}, 1),   # phi(q)
+        ({1: 2, 2: -1}, 1),          # phi(-q)
+        ({1: -1, 2: 2}, 1),          # psi(q)
+        ({1: -1, 2: 4, 4: -1}, 2),   # Miller's kernel is not needed
+    ])
+    def test_theta_quotients_take_few_passes(self, vector, passes):
+        millers, planned = series._plan(tuple(sorted(vector.items())))
+        assert (millers, len(planned)) == ((), passes)
