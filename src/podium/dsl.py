@@ -627,14 +627,22 @@ def normal_form(node: Expr) -> Optional[Etas]:
         etas = normal_form(node.child)
         return None if etas is None else _merged({}, etas, node.exponent)
     if isinstance(node, Chain) and not node.is_sum:
-        etas = normal_form(node.first)
-        for op, factor in node.rest:
-            part = None if etas is None else normal_form(factor)
-            if part is None:
-                return None
-            etas = _merged(etas, part, 1 if op == "*" else -1)
-        return etas
+        etas, others = _merge(node.operands)
+        return None if others else etas
     return {} if node == IntLit(1) else None
+
+
+def _merge(factors) -> Tuple[Etas, list]:
+    """The merged vector of the (op, factor) pairs of a product chain that
+    have a normal form, and the pairs that have none, in order."""
+    etas, others = {}, []
+    for op, factor in factors:
+        part = normal_form(factor)
+        if part is None:
+            others.append((op, factor))
+        else:
+            etas = _merged(etas, part, 1 if op == "*" else -1)
+    return etas, others
 
 
 def _walk(operands, order: int) -> Series:
@@ -680,13 +688,8 @@ def evaluate(node: Expr, order: int) -> Series:
         raise ValueError(f"order must be >= 0, got {order}")
     if order >= NEWTON_BASE:
         product = isinstance(node, Chain) and not node.is_sum
-        factors, others, etas = node.operands if product else (("*", node),), [], {}
-        for op, factor in factors:
-            part = normal_form(factor)
-            if part is None:
-                others.append((op, factor))
-            else:
-                etas = _merged(etas, part, 1 if op == "*" else -1)
+        factors = node.operands if product else (("*", node),)
+        etas, others = _merge(factors)
         if not others:
             return _eta_expansion(tuple(sorted(etas.items())), order)
         if len(others) < len(factors):

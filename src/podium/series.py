@@ -23,10 +23,11 @@ multiplying by one is that many slice updates, and dividing by one is
 the linear recurrence g_n = c_n - sum_e w_e g_{n-e} over those
 exponents, the kind of recurrence the pod paper derives (Andrews, The
 Theory of Partitions, ch. 1-2).  A planner writes each vector {b: a_b}
-once as a few such passes: pod's generating function is 1/psi(-q), one
-division.  An exponent the rows leave past the cube comes from
-J. C. P. Miller's recurrence in O(N sqrt(N/b)) steps for any exponent
-and is multiplied in once.
+once as one ordered list of a few such passes: pod's generating
+function is 1/psi(-q), one division.  An exponent the rows leave past
+the cube is a Miller pass, J. C. P. Miller's recurrence in
+O(N sqrt(N/b)) steps for any exponent, multiplied in once; Miller
+passes come first in the list.
 """
 
 from __future__ import annotations
@@ -405,21 +406,22 @@ _ROWS = tuple(
 _EULER = _ROWS[0]
 _JACOBI = (_jacobi, {1: 3}, 2 * math.sqrt(2))
 
-# A dense product of two series costs about three Euler passes at stride 1
-# (measured at orders 300 and 1000).
-_PRODUCT_COST = 3 * _EULER[2]
 
-
+# _peel prices the same few (b, a) pairs over and over: 13,161 vectors
+# like the planner tests' took 1.7-1.9 s to plan with this cache and
+# 3.7-5.3 s without (2-core host, CPython 3.11).
 @lru_cache(maxsize=4096)
-def _kernel_cost(b: int, a: int) -> float:
-    """The cost of (q^b; q^b)^a by the Euler, Jacobi or Miller kernel alone.
-    Miller's recurrence sums two of Euler's term lists for each of limit
-    coefficients, then takes one dense product."""
-    if abs(a) <= 2:
-        return abs(a) * _EULER[2] / math.sqrt(b)
-    if abs(a) == 3:
-        return _JACOBI[2] / math.sqrt(b)
-    return 2 * _EULER[2] / b**1.5 + _PRODUCT_COST
+def _alone(b: int, a: int) -> tuple:
+    """The cost and the passes of (q^b; q^b)^a by the Euler, Jacobi or
+    Miller kernel alone: Euler's row |a| times for |a| <= 2, Jacobi's
+    once for |a| == 3, and past that the Miller pass (None, b, a), which
+    sums two of Euler's term lists for each of limit coefficients, then
+    takes one dense product, about three Euler passes at stride 1
+    (measured at orders 300 and 1000)."""
+    if abs(a) > 3:
+        return 2 * _EULER[2] / b**1.5 + 3 * _EULER[2], ((None, b, a),)
+    row, count = (_JACOBI, 1) if abs(a) == 3 else (_EULER, abs(a))
+    return count * row[2] / math.sqrt(b), ((row[0], b, 1 if a > 0 else -1),) * count
 
 
 def _peel(rest: dict) -> list:
@@ -440,7 +442,7 @@ def _peel(rest: dict) -> list:
             gain = -move[3]
             for key, a in move[4]:
                 old = rest.get(key, 0)
-                gain += _kernel_cost(key, old) - _kernel_cost(key, old - a)
+                gain += _alone(key, old)[0] - _alone(key, old - a)[0]
             if gain > best_gain:
                 best, best_gain = move, gain
         if best is None:
@@ -453,27 +455,27 @@ def _peel(rest: dict) -> list:
 
 @lru_cache(maxsize=256)
 def _plan(etas: tuple) -> tuple:
-    """How eta_quotient applies the sorted nonzero (b, a_b) pairs: the
-    Miller factors (b, a_b), and the passes (builder, stride, +1 to
-    multiply or -1 to divide).
+    """How eta_quotient applies the sorted nonzero (b, a_b) pairs, as one
+    ordered tuple of passes: a row pass (builder, stride, +1 to multiply
+    or -1 to divide), or a Miller pass (None, b, a_b) for an exponent
+    that Miller's recurrence takes whole.
 
     A row spans b, 2b and 4b at most, so each chain of keys with one odd
-    part is planned on its own (_peel); whatever the rows leave goes to
-    the Euler, Jacobi and Miller kernels.
+    part is planned on its own (_peel), which keeps planning time linear
+    in the number of keys; whatever the rows leave goes to
+    the Euler, Jacobi and Miller kernels (_alone).  Miller passes come
+    first, in a stable sort, so that on a base of 1 the first one is the
+    result and takes no product.
     """
     chains = {}
     for b, a in etas:
         chains.setdefault(b // (b & -b), {})[b] = a
-    passes, millers = [], []
+    passes = []
     for rest in chains.values():
         passes += _peel(rest)
         for b, a in sorted(rest.items()):
-            if abs(a) > 3:
-                millers.append((b, a))
-            elif a:
-                builder = _JACOBI[0] if abs(a) == 3 else _EULER[0]
-                passes += [(builder, b, 1 if a > 0 else -1)] * (1 if abs(a) == 3 else abs(a))
-    return tuple(millers), tuple(passes)
+            passes += _alone(b, a)[1]
+    return tuple(sorted(passes, key=lambda p: p[0] is not None))
 
 
 def _eta_power(a: int, limit: int) -> list:
@@ -506,34 +508,31 @@ def _eta_power(a: int, limit: int) -> list:
 def eta_quotient(base: Series, etas: dict) -> Series:
     """base * prod_b (q^b; q^b)_oo^{a_b}, for etas = {b: a_b}.
 
-    The vector is applied as the short list of sparse passes that _plan
-    picks for it, once per vector: each pass multiplies by a theta row,
-    the term list of about sqrt(N/b) terms of a triple product that is an
-    eta quotient, or divides by one through its recurrence.  pod's
+    The vector is applied as the one ordered list of sparse passes that
+    _plan picks for it, once per vector: a row pass multiplies by a theta
+    row, the term list of about sqrt(N/b) terms of a triple product that
+    is an eta quotient, or divides by one through its recurrence.  pod's
     {1: -1, 2: 1, 4: -1} is one division by psi(-q) = f(-q, -q^3), and
     phi(+-q) and psi(q) are rows too.  What the rows leave goes to the
     kernels: a_b = +-1 or +-2 to Euler's pentagonal sum once or twice,
-    +-3 to Jacobi's sum once, and any larger |a_b| to Miller's
-    recurrence at order N // b, multiplied in once.  No plan costs more
-    than those kernels alone, and none runs a loop |a_b| times.
+    +-3 to Jacobi's sum once, and any larger |a_b| to a Miller pass,
+    Miller's recurrence at order N // b multiplied in once.  Miller
+    passes come first, so on a base of 1 the first one is the result.
+    No plan costs more than those kernels alone, and none runs a loop
+    |a_b| times.
     """
     order = base.order
     c = list(base.coeffs)
     # (q^b; q^b)_oo is 1 up to q^order once b > order
-    millers, passes = _plan(tuple(sorted((b, a) for b, a in etas.items() if a and b <= order)))
-    # Miller's factors first: on a base of 1 the first one is the result
-    for b, a in millers:
-        limit = order // b
-        if not limit:
-            continue
-        power = [0] * (order + 1)
-        power[:: b] = _eta_power(a, limit)
-        unit = c[0] == 1 and not any(c[1:])
-        c = power if unit else _product(c, power, order + 1)
-    for builder, b, direction in passes:
-        if order // b:
+    for builder, b, a in _plan(tuple(sorted((b, a) for b, a in etas.items() if a and b <= order))):
+        if builder is None:
+            power = [0] * (order + 1)
+            power[:: b] = _eta_power(a, order // b)
+            unit = c[0] == 1 and not any(c[1:])
+            c = power if unit else _product(c, power, order + 1)
+        else:
             terms = [(b * e, w) for e, w in builder(order // b)]
-            c = (_times if direction > 0 else _divide)(c, terms)
+            c = (_times if a > 0 else _divide)(c, terms)
     return Series(c)
 
 

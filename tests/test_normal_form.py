@@ -389,23 +389,64 @@ class TestRows:
 
 
 def plan_vector(plan):
-    """The vector a plan applies: its Miller factors and each pass's row."""
-    millers, passes = plan
-    vector = dict(millers)
+    """The vector a plan applies: each Miller pass's (b, a_b) and each row
+    pass's row at its stride and direction."""
     rows = {row[0]: row[1] for row in ROWS}
-    for builder, b, direction in passes:
-        for k, a in rows[builder].items():
-            vector[b * k] = vector.get(b * k, 0) + direction * a
+    rows[None] = {1: 1}
+    vector = {}
+    for builder, b, a in plan:
+        for k, x in rows[builder].items():
+            vector[b * k] = vector.get(b * k, 0) + a * x
     return {b: a for b, a in vector.items() if a}
 
 
 def plan_cost(plan):
-    """A plan's cost in the planner's model: each Miller factor's, and each
-    pass's row cost over sqrt(stride)."""
-    millers, passes = plan
+    """A plan's cost in the planner's model: each Miller pass's, and each
+    row pass's row cost over sqrt(stride)."""
     costs = {row[0]: row[2] for row in ROWS}
-    return (sum(series._kernel_cost(b, a) for b, a in millers)
-            + sum(costs[builder] / math.sqrt(b) for builder, b, _ in passes))
+    return sum(series._alone(b, a)[0] if builder is None else costs[builder] / math.sqrt(b)
+               for builder, b, a in plan)
+
+
+# The pass sequence of every vector the bundled sides expand at order 300,
+# 27 whole sides and 8 mixed products of which 4 are also whole, with the
+# rows named as in ROW_NAMES; a Miller pass would read (None, b, a_b).
+# The greedy planner misses a cheaper plan for four of them (psi(q) times
+# phi(-q^2) for {1: -1, 2: 4, 4: -1}, for one); a better planner moves
+# these pins.
+BUNDLED_PLANS = {
+    (): (),
+    ((1, -3), (2, 6), (4, -3)): (("phi(q)", 1, 1), ("psi(-q)", 1, -1)),
+    ((1, -2), (2, 1)): (("phi(-q)", 1, -1),),
+    ((1, -2), (2, 1), (4, -1)): (("phi(-q)", 1, -1), ("euler", 4, -1)),
+    ((1, -2), (2, 2), (4, -2)): (("phi(q)", 1, 1), ("jacobi", 2, -1)),
+    ((1, -2), (2, 3), (4, -1)): (("phi(-q)", 1, -1), ("phi(-q)", 2, 1)),
+    ((1, -2), (2, 5), (4, -2)): (("phi(q)", 1, 1),),
+    ((1, -1),): (("euler", 1, -1),),
+    ((1, -1), (2, -1)): (("euler", 1, -1), ("euler", 2, -1)),
+    ((1, -1), (2, -1), (4, 2)): (("psi(q)", 2, 1), ("euler", 1, -1)),
+    ((1, -1), (2, 1), (3, 2), (6, -1)): (("psi(-q)", 1, -1), ("euler", 4, 1), ("phi(-q)", 3, 1)),
+    ((1, -1), (2, 1), (4, -1)): (("psi(-q)", 1, -1),),
+    ((1, -1), (2, 2)): (("psi(q)", 1, 1),),
+    ((1, -1), (2, 2), (4, -1)): (("psi(q)", 1, 1), ("euler", 4, -1)),
+    ((1, -1), (2, 4), (4, -1)): (("psi(-q)", 1, -1), ("jacobi", 2, 1)),
+    ((1, -1), (4, -1)): (("euler", 1, -1), ("euler", 4, -1)),
+    ((1, 1),): (("euler", 1, 1),),
+    ((1, 1), (2, -1), (4, 1)): (("psi(-q)", 1, 1),),
+    ((1, 1), (4, -1)): (("euler", 1, 1), ("euler", 4, -1)),
+    ((1, 1), (4, 1)): (("euler", 1, 1), ("euler", 4, 1)),
+    ((1, 2), (2, -1)): (("phi(-q)", 1, 1),),
+    ((1, 2), (2, -1), (4, 2)): (("phi(-q)", 1, 1), ("phi(-q)", 4, 1), ("euler", 8, 1)),
+    ((1, 3),): (("jacobi", 1, 1),),
+    ((1, 5), (2, -2)): (("phi(-q)", 1, 1), ("phi(-q)", 1, 1), ("euler", 1, 1)),
+    ((2, -3),): (("jacobi", 2, -1),),
+    ((2, -2), (4, 3)): (("phi(-q)", 2, -1), ("phi(-q)", 4, 1), ("euler", 8, 1)),
+    ((2, -1),): (("euler", 2, -1),),
+    ((2, -1), (4, -1)): (("euler", 2, -1), ("euler", 4, -1)),
+    ((2, 1),): (("euler", 2, 1),),
+    ((4, -1),): (("euler", 4, -1),),
+    ((4, 1),): (("euler", 4, 1),),
+}
 
 
 class TestPlanner:
@@ -430,7 +471,7 @@ class TestPlanner:
             key = tuple(sorted((b, a) for b, a in vector.items() if a))
             plan = series._plan(key)
             assert plan_vector(plan) == dict(key), key
-            kernels = sum(series._kernel_cost(b, a) for b, a in key)
+            kernels = sum(series._alone(b, a)[0] for b, a in key)
             assert plan_cost(plan) <= kernels + 1e-9, key
 
         for window in ((1, 2, 4), (2, 4, 8), (3, 6, 12)):
@@ -448,5 +489,49 @@ class TestPlanner:
         ({1: -1, 2: 4, 4: -1}, 2),   # Miller's kernel is not needed
     ])
     def test_theta_quotients_take_few_passes(self, vector, passes):
-        millers, planned = series._plan(tuple(sorted(vector.items())))
-        assert (millers, len(planned)) == ((), passes)
+        planned = series._plan(tuple(sorted(vector.items())))
+        millers = [p for p in planned if p[0] is None]
+        assert (millers, len(planned)) == ([], passes)
+
+    def test_every_bundled_plan_is_pinned(self, monkeypatch):
+        seen = set()
+        kernel = dsl.eta_quotient
+        monkeypatch.setattr(
+            dsl, "eta_quotient", lambda base, etas: seen.add(tuple(sorted(etas.items()))) or kernel(base, etas))
+        dsl._eta_expansion.cache_clear()
+        for rec in bundled_manifest():
+            for text in (rec.lhs, rec.rhs):
+                evaluate(parse(text), 300)
+        dsl._eta_expansion.cache_clear()
+        assert seen == set(BUNDLED_PLANS)
+        names = {row[0]: name for row, name in zip(ROWS, ROW_NAMES)}
+        names[None] = None
+        for vector, passes in BUNDLED_PLANS.items():
+            planned = tuple((names[builder], b, a) for builder, b, a in series._plan(vector))
+            assert planned == passes, vector
+
+    @pytest.mark.parametrize("etas, products", [
+        ({1: 10**6}, 0),
+        ({1: 10**6, 2: -10**6}, 1),
+        ({1: 1, 2: 10**6}, 0),  # planned as a row pass, psi(q), and a Miller pass
+    ])
+    def test_miller_passes_come_first(self, monkeypatch, etas, products):
+        # on a base of 1 the first Miller pass is the result, so it takes
+        # no dense product; a row pass before it would force one
+        seen = []
+        product = series._product
+        monkeypatch.setattr(series, "_product", lambda *args: seen.append(args) or product(*args))
+        series.eta_quotient(constant(1, 200), etas)
+        assert len(seen) == products
+
+    def test_each_chain_is_planned_on_its_own(self):
+        # 300 keys in 150 chains: planned chain by chain they took 22-24 ms,
+        # and one greedy over the whole vector 0.93-1.09 s (2-core host),
+        # a cost that grows with the square of the key count
+        vector = tuple((b, 2 if b % 3 else -2) for b in range(1, 301))
+        series._plan.cache_clear()
+        series._alone.cache_clear()
+        started = time.perf_counter()
+        plan = series._plan(vector)
+        assert time.perf_counter() - started < 0.1
+        assert plan_vector(plan) == dict(vector)
