@@ -69,12 +69,12 @@ from __future__ import annotations
 import operator
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 from typing import Dict, Optional, Tuple, Union
 
 from . import partitions  # read at call time: partitions imports this module
+from ._value import Value
 from .series import (
     NEWTON_BASE,
     Mismatch,
@@ -110,41 +110,31 @@ class EvalError(ValueError):
 # AST
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class IntLit(Value):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class QPow:
-    k: int
+class QPow(Value):
+    __slots__ = ("k",)
 
 
-@dataclass(frozen=True)
-class Poch:
-    sign: int
-    a: int
-    b: int
+class Poch(Value):
+    __slots__ = ("sign", "a", "b")
 
 
-@dataclass(frozen=True)
-class GfRef:
-    fid: partitions.FunctionId
+class GfRef(Value):
+    __slots__ = ("fid",)
 
 
-@dataclass(frozen=True)
-class Subst:
-    child: "Expr"
-    k: int
-    sign: int
+class Subst(Value):
+    __slots__ = ("child", "k", "sign")
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Value):
     """first op x op x ..., left to right, all ops of one level: + and -,
     * and /, or in a theta body * and div, whose operand is an IntLit."""
-    first: "Expr"
-    rest: Tuple[Tuple[str, "Expr"], ...]
+
+    __slots__ = ("first", "rest")
 
     @property
     def is_sum(self) -> bool:
@@ -156,35 +146,26 @@ class Chain:
         return (("+" if self.is_sum else "*", self.first),) + self.rest
 
 
-@dataclass(frozen=True)
-class Pow:
-    child: "Expr"
-    exponent: int
+class Pow(Value):
+    __slots__ = ("child", "exponent")
 
 
-@dataclass(frozen=True)
-class Neg:
-    child: "Expr"
+class Neg(Value):
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True)
-class IVar:
-    name: str
+class IVar(Value):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class IFunc:
+class IFunc(Value):
     """ceil2(child), the ceiling of half, or (-1)^(child), by name."""
-    name: str
-    child: "IExpr"
+
+    __slots__ = ("name", "child")
 
 
-@dataclass(frozen=True)
-class Theta:
-    domain: Domain
-    var: str
-    weight: "IExpr"
-    exponent: "IExpr"
+class Theta(Value):
+    __slots__ = ("domain", "var", "weight", "exponent")
 
 
 IExpr = Union[IntLit, IVar, Chain, IFunc]

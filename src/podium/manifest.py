@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from . import dsl
+from ._value import Value
 from .partitions import (
     DEFAULT_CAPS,
     FunctionId,
@@ -42,18 +42,11 @@ class ManifestError(ValueError):
         super().__init__(f"{source}:{line}: {message}")
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(Value):
     """One named identity: two expressions plus checking parameters."""
 
-    id: str
-    lhs: str
-    rhs: str
-    order: int
-    modulus: Optional[int] = None
-    description: str = ""
-    ref: str = ""
-    quote: str = ""
+    __slots__ = ("id", "lhs", "rhs", "order", "modulus", "description", "ref", "quote")
+    _defaults = {"modulus": None, "description": "", "ref": "", "quote": ""}
 
     @property
     def anchor(self) -> str:
@@ -175,8 +168,7 @@ class Status:
     ERROR = "error"
 
 
-@dataclass(frozen=True)
-class SuiteEntry:
+class SuiteEntry(Value):
     """Outcome of one checked identity or one oracle comparison.
 
     `seconds` is the check's own wall time.  Sides that share an eta
@@ -184,12 +176,8 @@ class SuiteEntry:
     that expands it is charged, and a later one that finds it is not.
     """
 
-    name: str
-    status: str
-    order: int
-    seconds: float
-    detail: str = ""
-    anchor: str = ""
+    __slots__ = ("name", "status", "order", "seconds", "detail", "anchor")
+    _defaults = {"detail": "", "anchor": ""}
 
     @property
     def passed(self) -> bool:
@@ -205,15 +193,14 @@ class SuiteEntry:
         return out
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(Value):
     """Entries in manifest order plus summary counters.
 
     The body (:meth:`lines`) is deterministic for fixed inputs; wall
     times are kept out of it.
     """
 
-    entries: Tuple[SuiteEntry, ...]
+    __slots__ = ("entries",)
 
     @property
     def total(self) -> int:

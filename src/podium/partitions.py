@@ -24,11 +24,11 @@ call generates nothing.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Optional
 
 from . import dsl
+from ._value import Value
 # pochhammer is not called here, but benchmark/test_benchmark.py checks this binding
 from .series import Series, pochhammer  # noqa: F401
 
@@ -147,8 +147,7 @@ def _keep_eobar(parts):
     return not odd_mult
 
 
-@dataclass(frozen=True)
-class _Rule:
+class _Rule(Value):
     """One function's oracle as data.
 
     `cap` is the default enumeration bound and `ceiling` the hard one:
@@ -156,15 +155,19 @@ class _Rule:
     accidental exponential blowup even when a caller overrides the cap.
     `part(v)` gives (max multiplicity or None, colors) for an allowed part
     size v, else None; by default every size is allowed, uncolored and
-    unbounded.
+    unbounded.  `weight(parts)` is an object's signed weight (1 by
+    default), `keep(parts)`, when given, decides whether an object counts,
+    and `overlined` counts each distinct part value both plain and
+    overlined.
     """
 
-    cap: int
-    ceiling: int
-    part: Callable[[int], Optional[Tuple[Optional[int], int]]] = lambda v: (None, 1)
-    weight: Callable[[Parts], int] = _weight_one
-    keep: Optional[Callable[[Parts], bool]] = None
-    overlined: bool = False
+    __slots__ = ("cap", "ceiling", "part", "weight", "keep", "overlined")
+    _defaults = {
+        "part": lambda v: (None, 1),
+        "weight": _weight_one,
+        "keep": None,
+        "overlined": False,
+    }
 
     def slots(self, n: int) -> Slots:
         """The slots of every allowed part size up to n, largest first."""

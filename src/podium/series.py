@@ -35,18 +35,16 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterable, Iterator, Optional
 
+from ._value import Value
 
-@dataclass(frozen=True)
-class Mismatch:
+
+class Mismatch(Value):
     """First index at which two series disagree, with both values."""
 
-    index: int
-    left: int
-    right: int
+    __slots__ = ("index", "left", "right")
 
     def __str__(self) -> str:
         return f"coefficient {self.index}: {self.left} != {self.right}"

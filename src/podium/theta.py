@@ -19,9 +19,9 @@ text and call neither.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable, Union
 
+from ._value import Value
 from .series import Series
 
 _SCAN_LIMIT = 10**6
@@ -61,20 +61,17 @@ class Domain(enum.Enum):
     NON_NEGATIVE = "N"
 
 
-@dataclass(frozen=True)
-class QuadExp:
+class QuadExp(Value):
     """Exponent e(n) = (a*n^2 + b*n + c) / d, exactly integer-valued.
 
     Divisibility by d is checked at construction, so a mis-transcribed
     exponent fails at once.  a >= 0 keeps the exponent eventually growing.
     """
 
-    a: int
-    b: int
-    c: int = 0
-    d: int = 1
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
+    def __init__(self, a: int, b: int, c: int = 0, d: int = 1):
+        super().__init__(a, b, c, d)
         if self.d < 1:
             raise ValueError(f"denominator must be >= 1, got {self.d}")
         if self.a < 0:
