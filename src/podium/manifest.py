@@ -9,10 +9,10 @@ each partition function's product form against its enumeration oracle.
 
 from __future__ import annotations
 
+import os
 import re
 import time
 from functools import lru_cache
-from importlib import resources
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from . import dsl
@@ -154,7 +154,11 @@ def load_manifest(path: str) -> Tuple[IdentityRecord, ...]:
 @lru_cache(maxsize=1)
 def bundled_manifest() -> Tuple[IdentityRecord, ...]:
     """The identity manifest shipped with the package."""
-    text = resources.files("podium").joinpath("data/identities.txt").read_text("ascii")
+    # The module's own loader reads the file, from a directory or a zip
+    # alike; importlib.resources would cost start-up, since from CPython
+    # 3.12 it imports inspect.
+    path = os.path.join(os.path.dirname(__file__), "data", "identities.txt")
+    text = __spec__.loader.get_data(path).decode("ascii")
     return parse_manifest(text, source="bundled identities.txt")
 
 

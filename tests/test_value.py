@@ -227,18 +227,28 @@ class TestQuadExpRefusals:
         assert str(info.value) == message
 
 
-def test_import_stays_lean():
-    """Importing podium loads no code-generating or introspecting module
-    that a bare interpreter has not already loaded."""
+@pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
+def test_import_stays_lean(flags):
+    """Importing podium and loading its manifest loads no code-generating
+    or introspecting module that a bare interpreter has not already loaded.
+
+    importlib.resources is refused too: from CPython 3.12 it imports
+    inspect.  `site` may preload it (a .pth file can), so the run without
+    `site` is the one that can see it on an older interpreter.
+    """
     show = "import sys; print(' '.join(sys.modules))"
     src = os.path.dirname(os.path.dirname(podium.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     modules = {}
-    for name, code in (("bare", show), ("podium", "import podium; " + show)):
+    for name, code in (
+        ("bare", show),
+        ("podium", "import podium; podium.bundled_manifest(); " + show),
+    ):
         out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+            [sys.executable, *flags, "-c", code],
+            capture_output=True, text=True, check=True, env=env,
         )
         modules[name] = set(out.stdout.split())
     added = modules["podium"] - modules["bare"]
     assert "podium.dsl" in added
-    assert not added & {"dataclasses", "inspect", "ast", "dis"}
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "importlib.resources"}
