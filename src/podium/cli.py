@@ -135,10 +135,7 @@ def cmd_oracle(args) -> int:
     functions = None
     if args.function is not None:
         functions = [FunctionId.from_name(args.function)]
-    caps = None
-    if args.cap is not None:
-        targets = functions if functions is not None else list(FunctionId)
-        caps = {fid: args.cap for fid in targets}
+    caps = None if args.cap is None else dict.fromkeys(FunctionId, args.cap)
     return _emit_report(run_oracle_suite(caps=caps, functions=functions), args.out)
 
 

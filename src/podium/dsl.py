@@ -271,10 +271,10 @@ class _Parser:
         self.advance()
         return value
 
-    def expect_q_power(self, minimum: int = 1) -> int:
+    def expect_q_power(self) -> int:
         self.expect("q")
         self.expect("^")
-        return self.expect_int(minimum)
+        return self.expect_int(1)
 
     def chain(self, operand, ops) -> Expr:
         """Parse `operand (op operand)*` as one Chain, or the lone operand.

@@ -14,11 +14,12 @@ one-object-per-step partition generation (Knuth, TAOCP vol. 4A,
 §7.2.1.4), and adds its weight at its own total.  The per-total table is
 cached, so checking f(0..cap) one n at a time costs a single walk.
 
-Each function's oracle is one row of data: a rule giving the allowed
-part sizes with their multiplicity bound and colors, a weight, an
-optional filter, and, since enumeration is exponential in spirit, a
-default cap and a hard ceiling past which it refuses to run; a refused
-call generates nothing.
+Each function's oracle is one row of data: a default cap and a hard
+ceiling past which it refuses to run, since enumeration is exponential
+in spirit (a refused call generates nothing); a rule giving the allowed
+part sizes with their multiplicity bound and colors; and a weight.  An
+object the function does not count weighs 0, and an overpartition weighs
+2^(number of distinct part values), one for each way to overline them.
 """
 
 from __future__ import annotations
@@ -129,22 +130,25 @@ def _weight_alt_odd_parts(parts):
     return -1 if sum(m for s, m in parts if s % 2) % 2 else 1
 
 
-def _keep_eo(parts):
+def _weight_overlined(parts):
+    # each distinct part value may or may not be overlined
+    return 1 << len(parts)
+
+
+def _weight_eo(parts):
     evens = [s for s, _ in parts if s % 2 == 0]
     odds = [s for s, _ in parts if s % 2 == 1]
-    return not evens or not odds or max(evens) < min(odds)
+    return 1 if not evens or not odds or max(evens) < min(odds) else 0
 
 
-def _keep_eobar(parts):
+def _weight_eobar(parts):
     # Only the largest even part may (and, when present, must) appear an
     # odd number of times; with no even part every multiplicity is even.
-    if not _keep_eo(parts):
-        return False
+    if not _weight_eo(parts):
+        return 0
     odd_mult = {s for s, m in parts if m % 2 == 1}
     evens = [s for s, _ in parts if s % 2 == 0]
-    if evens:
-        return odd_mult == {max(evens)}
-    return not odd_mult
+    return 1 if odd_mult == ({max(evens)} if evens else set()) else 0
 
 
 class _Rule(Value):
@@ -155,19 +159,13 @@ class _Rule(Value):
     accidental exponential blowup even when a caller overrides the cap.
     `part(v)` gives (max multiplicity or None, colors) for an allowed part
     size v, else None; by default every size is allowed, uncolored and
-    unbounded.  `weight(parts)` is an object's signed weight (1 by
-    default), `keep(parts)`, when given, decides whether an object counts,
-    and `overlined` counts each distinct part value both plain and
-    overlined.
+    unbounded.  `weight(parts)` is what an object adds to the count at
+    its total (1 by default): a sign, 0 for an object the function does
+    not count, or the number of its overlinings.
     """
 
-    __slots__ = ("cap", "ceiling", "part", "weight", "keep", "overlined")
-    _defaults = {
-        "part": lambda v: (None, 1),
-        "weight": _weight_one,
-        "keep": None,
-        "overlined": False,
-    }
+    __slots__ = ("cap", "ceiling", "part", "weight")
+    _defaults = {"part": lambda v: (None, 1), "weight": _weight_one}
 
     def slots(self, n: int) -> Slots:
         """The slots of every allowed part size up to n, largest first."""
@@ -180,8 +178,8 @@ class _Rule(Value):
         return out
 
 
-# One row per function: default cap, hard ceiling, part rule, then any
-# weight, filter or overlining.  DEFAULT_CAPS and HARD_CAPS read the rows.
+# One row per function: default cap, hard ceiling, part rule and weight.
+# DEFAULT_CAPS and HARD_CAPS read the rows.
 _RULES = {
     FunctionId.P: _Rule(35, 60),
     FunctionId.POD: _Rule(35, 60, lambda v: (1 if v % 2 else None, 1)),
@@ -191,10 +189,10 @@ _RULES = {
     FunctionId.PEO: _Rule(35, 60, weight=_weight_alt_parts),
     FunctionId.QEO: _Rule(35, 60, lambda v: (1, 1), weight=_weight_alt_odd_parts),
     FunctionId.P2MOD4: _Rule(35, 60, lambda v: (None, 1) if v % 4 == 2 else None),
-    FunctionId.EO: _Rule(35, 60, keep=_keep_eo),
-    FunctionId.EOBAR: _Rule(35, 60, keep=_keep_eobar),
-    FunctionId.OPBAR: _Rule(22, 30, overlined=True),
-    FunctionId.OPODD: _Rule(22, 30, lambda v: (None, 1) if v % 2 else None, overlined=True),
+    FunctionId.EO: _Rule(35, 60, weight=_weight_eo),
+    FunctionId.EOBAR: _Rule(35, 60, weight=_weight_eobar),
+    FunctionId.OPBAR: _Rule(22, 30, weight=_weight_overlined),
+    FunctionId.OPODD: _Rule(22, 30, lambda v: (None, 1) if v % 2 else None, weight=_weight_overlined),
     FunctionId.AFUN: _Rule(22, 30, lambda v: (None, 1 if v % 2 else 2), weight=_weight_alt_parts),
     FunctionId.CUBIC: _Rule(22, 30, lambda v: (None, 1 if v % 2 else 2)),
     FunctionId.QODD3: _Rule(22, 30, lambda v: (1, 3) if v % 2 else None),
@@ -218,15 +216,12 @@ def _enumeration_table(fid: FunctionId, limit: int) -> tuple:
     slots = rule.slots(limit)
     # first_fit[r]: index of the first slot of size <= r (sizes descend)
     first_fit = [sum(1 for size, _ in slots if size > r) for r in range(limit + 1)]
-    keep, weight, overlined = rule.keep, rule.weight, rule.overlined
+    weight = rule.weight
     counts = [0] * (limit + 1)
     n_slots = len(slots)
 
     def visit(parts: Parts, start: int, total: int):
-        if keep is None or keep(parts):
-            w = weight(parts)
-            # each distinct part value may or may not be overlined
-            counts[total] += w << len(parts) if overlined else w
+        counts[total] += weight(parts)
         remaining = limit - total
         first = first_fit[remaining]
         for i in range(start if start > first else first, n_slots):

@@ -234,12 +234,9 @@ class Series:
             raise ValueError(f"substitution sign must be +1 or -1, got {sign}")
         n = self.order
         out = [0] * (n + 1)
-        s = 1
-        for i, c in enumerate(self.coeffs):
-            if i * k > n:
-                break
-            out[i * k] = s * c
-            s *= sign
+        out[::k] = self.coeffs[: n // k + 1]
+        if sign == -1:
+            out[k :: 2 * k] = [-c for c in out[k :: 2 * k]]
         return Series(out)
 
     def reduce_mod(self, modulus: int) -> Series:
@@ -543,7 +540,8 @@ def equal_upto(a: Series, b: Series, order: int) -> Optional[Mismatch]:
             f"comparison order {order} exceeds a series order "
             f"({a.order} vs {b.order})"
         )
-    for i in range(order + 1):
-        if a.coeffs[i] != b.coeffs[i]:
-            return Mismatch(i, a.coeffs[i], b.coeffs[i])
-    return None
+    x, y = a.coeffs[: order + 1], b.coeffs[: order + 1]
+    if x == y:
+        return None
+    i = next(i for i, (u, v) in enumerate(zip(x, y)) if u != v)
+    return Mismatch(i, x[i], y[i])

@@ -13,8 +13,11 @@ coefficients, or raise the same exception with the same message.
 
 `reference_count` is the enumeration oracle's old per-n generator: it
 builds the objects of total exactly n one slot at a time, skipping a slot
-as a branch of its own, and counts them with the function's own rule.
-The single walk behind `count_by_enumeration` must equal it.
+as a branch of its own, and counts them with the function's own part
+rule and weight.  An overpartition (opbar, opodd) it counts once per way
+to overline its distinct part values, one choice at a time, so the
+overlining weight of those two rows is checked, not read.  The single
+walk behind `count_by_enumeration` must equal it.
 
 `reference_tokenize` is the identity language's old character-by-
 character lexer.  The one-pattern `dsl.tokenize` must give the same
@@ -168,19 +171,24 @@ def _iter_partitions(n, slots):
     yield from rec(0, n)
 
 
+_OVERPARTITIONS = (partitions.FunctionId.OPBAR, partitions.FunctionId.OPODD)
+
+
 def reference_count(fid: partitions.FunctionId, n: int) -> int:
-    """Signed count of the objects of total n, one generator per n, no cap."""
+    """Signed count of the objects of total n, one generator per n, no cap.
+
+    Each overpartition of opbar and opodd counts 1 for every choice of
+    which of its distinct part values are overlined; every other object
+    counts its rule's weight.
+    """
     rule = partitions._RULES[fid]
     total = 0
     for parts in _iter_partitions(n, rule.slots(n)):
-        if rule.keep is not None and not rule.keep(parts):
-            continue
-        w = rule.weight(parts)
-        if rule.overlined:
+        if fid in _OVERPARTITIONS:
             for _ in itertools.product((False, True), repeat=len(parts)):
-                total += w
+                total += 1
         else:
-            total += w
+            total += rule.weight(parts)
     return total
 
 

@@ -80,6 +80,13 @@ class TestOracleEquivalence:
         for n in range(cap + 1):
             assert count_by_enumeration(fid, n, cap=cap) == series[n], (fid, n)
 
+    @pytest.mark.parametrize("fid", [FunctionId.OPBAR, FunctionId.OPODD], ids=lambda f: f.value)
+    def test_overpartitions_to_the_hard_ceiling(self, fid):
+        # the overlining weight 2^(distinct parts) is largest at the ceiling
+        cap = HARD_CAPS[fid]
+        got = [count_by_enumeration(fid, n, cap=cap) for n in range(cap + 1)]
+        assert got == table(fid, cap)
+
     def test_swapped_formulas_detected(self):
         # ped and pod disagree first at n=2
         assert count_by_enumeration(FunctionId.PED, 2) == 2

@@ -177,10 +177,22 @@ class TestSubstitute:
         rhs = pochhammer(-1, 1, 2, n) * pochhammer(1, 2, 2, n)
         assert lhs == rhs
 
+    def test_matches_definition(self):
+        # coefficient i moves to k*i with weight sign^i, past the order it drops
+        rng = random.Random(7)
+        for order in range(12):
+            a = random_series(rng, order)
+            for k in range(1, order + 3):
+                for sign in (1, -1):
+                    expected = [0] * (order + 1)
+                    for i in range(order // k + 1):
+                        expected[k * i] = sign**i * a[i]
+                    assert list(a.substitute(k, sign)) == expected, (order, k, sign)
+
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="stride must be >= 1, got 0"):
             Series([1]).substitute(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sign must be \\+1 or -1, got 3"):
             Series([1]).substitute(2, 3)
 
 
@@ -218,6 +230,12 @@ class TestEqualUpto:
     def test_first_mismatch(self):
         got = equal_upto(Series([1, 1]), Series([1, 2]), 1)
         assert got == Mismatch(1, 1, 2)
+
+    def test_first_of_several_mismatches_below_the_order(self):
+        a = Series([1, 2, 3, 4, 5, 6])
+        b = Series([1, 2, 0, 4, 0, 9, 9])
+        assert equal_upto(a, b, 5) == Mismatch(2, 3, 0)
+        assert equal_upto(a, b, 1) is None
 
     def test_order_beyond_operands(self):
         with pytest.raises(IndexError):

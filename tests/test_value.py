@@ -32,10 +32,6 @@ def _weight(parts):
     return -1
 
 
-def _keep(parts):
-    return True
-
-
 _ENTRY = SuiteEntry("p-id", "pass", 300, 0.25, "", "Andrews")
 
 # (value, its repr), one row per type; the reprs are the frozen-record
@@ -75,9 +71,8 @@ CASES = [
         "seconds=0.25, detail='', anchor='Andrews'),))",
     ),
     (
-        _Rule(22, 30, _part, _weight, _keep, True),
-        f"_Rule(cap=22, ceiling=30, part={_part!r}, weight={_weight!r}, keep={_keep!r}, "
-        "overlined=True)",
+        _Rule(22, 30, _part, _weight),
+        f"_Rule(cap=22, ceiling=30, part={_part!r}, weight={_weight!r})",
     ),
     (Mismatch(4, 1, 2), "Mismatch(index=4, left=1, right=2)"),
     (QuadExp(1, 1, 0, 2), "QuadExp(a=1, b=1, c=0, d=2)"),
@@ -205,7 +200,8 @@ class TestDefaults:
     def test_rule(self):
         rule = _Rule(35, 60)
         assert rule.part(7) == (None, 1)
-        assert (rule.weight, rule.keep, rule.overlined) == (_weight_one, None, False)
+        assert rule.weight is _weight_one
+        assert _Rule.__slots__ == ("cap", "ceiling", "part", "weight")
         assert _RULES[FunctionId.P] == rule
 
 
