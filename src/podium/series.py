@@ -17,17 +17,16 @@ the plain quadratic algorithms they replace.
 Products of powers of (q^b; q^b)_oo never take the dense path
 (:func:`eta_quotient`).  A theta row is a Jacobi triple product
 f(+-q^u, +-q^v) that is an eta quotient -- Euler's pentagonal sum,
-phi(+-q), psi(+-q) -- stored as data, with Jacobi's sum for the cube
-beside them.  Each has about sqrt(N/b) terms at stride b, so
-multiplying by one is that many slice updates, and dividing by one is
-the linear recurrence g_n = c_n - sum_e w_e g_{n-e} over those
-exponents, the kind of recurrence the pod paper derives (Andrews, The
-Theory of Partitions, ch. 1-2).  A planner writes each vector {b: a_b}
-once as one ordered list of a few such passes: pod's generating
-function is 1/psi(-q), one division.  An exponent the rows leave past
-the cube is a Miller pass, J. C. P. Miller's recurrence in
-O(N sqrt(N/b)) steps for any exponent, multiplied in once; Miller
-passes come first in the list.
+phi(+-q), psi(+-q) -- stored as data, every weight +k or -k.  Each has
+about sqrt(N/b) terms at stride b, so multiplying by one is that many
+slice updates, and dividing by one is the linear recurrence
+g_n = c_n - k sum_e (+-g_{n-e}) over those exponents, the kind of
+recurrence the pod paper derives (Andrews, The Theory of Partitions,
+ch. 1-2).  A planner writes each vector {b: a_b} once as one ordered
+list of a few such passes: pod's generating function is 1/psi(-q), one
+division.  An exponent the rows leave past +-3 is a Miller pass,
+J. C. P. Miller's recurrence in O(N sqrt(N/b)) steps for any exponent,
+multiplied in once; Miller passes come first in the list.
 """
 
 from __future__ import annotations
@@ -309,33 +308,22 @@ def _theta_terms(u: int, v: int, s: int, limit: int) -> list:
     return sorted(weights.items())
 
 
-def _jacobi(limit: int) -> list:
-    """Jacobi: (q; q)_oo^3 = sum_{n>=0} (-1)^n (2n+1) q^{n(n+1)/2}."""
-    terms = []
-    n = 1
-    while n * (n + 1) // 2 <= limit:
-        terms.append((n * (n + 1) // 2, -(2 * n + 1) if n & 1 else 2 * n + 1))
-        n += 1
-    return terms
-
-
 def _scale(terms: list) -> int:
-    """k when every weight is +k or -k, as in each theta row; else 0."""
-    scales = {abs(w) for _, w in terms}
-    return scales.pop() if len(scales) == 1 else 0
+    """k when every weight is +k or -k, as in each theta row.  A pass
+    whose stride is past the order has no terms, and its k is 1."""
+    scales = {abs(w) for _, w in terms} or {1}
+    if len(scales) > 1:
+        raise ValueError(f"a term list needs weights +-k for one k, got sizes {sorted(scales)}")
+    return scales.pop()
 
 
 def _times(c: list, terms: list) -> list:
     """c times the term list, truncated to len(c): one slice update per term."""
     out = list(c)
     k = _scale(terms)
-    if k:
-        kc = c if k == 1 else [k * x for x in c]
-        for e, w in terms:
-            out[e:] = map(operator.add if w > 0 else operator.sub, out[e:], kc)
-    else:
-        for e, w in terms:
-            out[e:] = map(operator.add, out[e:], map(w.__mul__, c))
+    kc = c if k == 1 else [k * x for x in c]
+    for e, w in terms:
+        out[e:] = map(operator.add if w > 0 else operator.sub, out[e:], kc)
     return out
 
 
@@ -356,25 +344,17 @@ def _picker(exponents: list):
 
 def _divide(c: list, terms: list) -> list:
     """g with g * (term list) = c, one coefficient at a time:
-    g_n = c_n - sum_e w_e g_{n-e}, the recurrence of the paper's kind.
-    When every weight is +-k the sum is k times two plain sums."""
-    exponents = [e for e, _ in terms]
-    weights = [w for _, w in terms]
+    g_n = c_n - sum_e w_e g_{n-e}, the recurrence of the paper's kind,
+    as k times two plain sums since every weight is +-k."""
     plus = [e for e, w in terms if w > 0]
     minus = [e for e, w in terms if w < 0]
     k = _scale(terms)
     g = []
-    for start, stop in _runs(exponents, len(c)):
-        if k:
-            plus_at = _picker(plus[: bisect_right(plus, start)])
-            minus_at = _picker(minus[: bisect_right(minus, start)])
-            for n in range(start, stop):
-                g.append(c[n] - k * (sum(plus_at(g)) - sum(minus_at(g))))
-        else:
-            i = bisect_right(exponents, start)
-            pick, ws = _picker(exponents[:i]), weights[:i]
-            for n in range(start, stop):
-                g.append(c[n] - sum(map(operator.mul, ws, pick(g))))
+    for start, stop in _runs([e for e, _ in terms], len(c)):
+        plus_at = _picker(plus[: bisect_right(plus, start)])
+        minus_at = _picker(minus[: bisect_right(minus, start)])
+        for n in range(start, stop):
+            g.append(c[n] - k * (sum(plus_at(g)) - sum(minus_at(g))))
     return g
 
 
@@ -382,12 +362,12 @@ def _divide(c: list, terms: list) -> list:
 # it expands, as {b: a_b}, and its cost per pass at stride 1.  A pass at
 # stride b touches about len(c) coefficients for each of density *
 # sqrt(limit / b) terms, so its cost relative to other passes of the same
-# length is density / sqrt(b) whatever the order; terms whose weights vary
-# cost about two plain ones each.  The theta rows are the Jacobi triple
-# products f(s q^u, s q^v) = (-s q^u; q^{u+v}) (-s q^v; q^{u+v})
+# length is density / sqrt(b) whatever the order.  The theta rows are the
+# Jacobi triple products f(s q^u, s q^v) = (-s q^u; q^{u+v}) (-s q^v; q^{u+v})
 # (q^{u+v}; q^{u+v}) that are eta quotients (Berndt, Ramanujan's Notebooks
 # III, ch. 16, entry 22); their n runs over about 2 sqrt(2 limit / (u + v))
-# integers, half as many exponents when u == v.
+# integers, half as many exponents when u == v, and every weight is +-1,
+# or +-2 when u == v.
 _ROWS = tuple(
     (partial(_theta_terms, u, v, s), vector, 2 * math.sqrt(2 / (u + v)) / (1 + (u == v)))
     for (u, v, s), vector in (
@@ -399,7 +379,6 @@ _ROWS = tuple(
     )
 )
 _EULER = _ROWS[0]
-_JACOBI = (_jacobi, {1: 3}, 2 * math.sqrt(2))
 
 
 # _peel prices the same few (b, a) pairs over and over: 13,161 vectors
@@ -407,16 +386,14 @@ _JACOBI = (_jacobi, {1: 3}, 2 * math.sqrt(2))
 # 3.7-5.3 s without (2-core host, CPython 3.11).
 @lru_cache(maxsize=4096)
 def _alone(b: int, a: int) -> tuple:
-    """The cost and the passes of (q^b; q^b)^a by the Euler, Jacobi or
-    Miller kernel alone: Euler's row |a| times for |a| <= 2, Jacobi's
-    once for |a| == 3, and past that the Miller pass (None, b, a), which
-    sums two of Euler's term lists for each of limit coefficients, then
-    takes one dense product, about three Euler passes at stride 1
-    (measured at orders 300 and 1000)."""
+    """The cost and the passes of (q^b; q^b)^a by the Euler or Miller
+    kernel alone: Euler's row |a| times for |a| <= 3, and past that the
+    Miller pass (None, b, a), which sums two of Euler's term lists for
+    each of limit coefficients, then takes one dense product, about
+    three Euler passes at stride 1 (measured at orders 300 and 1000)."""
     if abs(a) > 3:
         return 2 * _EULER[2] / b**1.5 + 3 * _EULER[2], ((None, b, a),)
-    row, count = (_JACOBI, 1) if abs(a) == 3 else (_EULER, abs(a))
-    return count * row[2] / math.sqrt(b), ((row[0], b, 1 if a > 0 else -1),) * count
+    return abs(a) * _EULER[2] / math.sqrt(b), ((_EULER[0], b, 1 if a > 0 else -1),) * abs(a)
 
 
 def _peel(rest: dict) -> list:
@@ -458,7 +435,7 @@ def _plan(etas: tuple) -> tuple:
     A row spans b, 2b and 4b at most, so each chain of keys with one odd
     part is planned on its own (_peel), which keeps planning time linear
     in the number of keys; whatever the rows leave goes to
-    the Euler, Jacobi and Miller kernels (_alone).  Miller passes come
+    the Euler and Miller kernels (_alone).  Miller passes come
     first, in a stable sort, so that on a base of 1 the first one is the
     result and takes no product.
     """
@@ -509,12 +486,11 @@ def eta_quotient(base: Series, etas: dict) -> Series:
     is an eta quotient, or divides by one through its recurrence.  pod's
     {1: -1, 2: 1, 4: -1} is one division by psi(-q) = f(-q, -q^3), and
     phi(+-q) and psi(q) are rows too.  What the rows leave goes to the
-    kernels: a_b = +-1 or +-2 to Euler's pentagonal sum once or twice,
-    +-3 to Jacobi's sum once, and any larger |a_b| to a Miller pass,
-    Miller's recurrence at order N // b multiplied in once.  Miller
-    passes come first, so on a base of 1 the first one is the result.
-    No plan costs more than those kernels alone, and none runs a loop
-    |a_b| times.
+    kernels: a_b = +-1, +-2 or +-3 to Euler's pentagonal sum |a_b|
+    times, and any larger |a_b| to a Miller pass, Miller's recurrence
+    at order N // b multiplied in once.  Miller passes come first, so
+    on a base of 1 the first one is the result.  No plan costs more than
+    those kernels alone, and none runs a loop |a_b| times past |a_b| = 3.
     """
     order = base.order
     c = list(base.coeffs)

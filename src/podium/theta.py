@@ -139,6 +139,8 @@ def theta_series(
     refuses such an exponent.  A scan that has not stopped after 10^6
     steps raises DivergenceError.
     """
+    if not isinstance(domain, Domain):
+        raise TypeError(f"domain must be a Domain, got {type(domain).__name__}")
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     coeffs = [0] * (order + 1)

@@ -193,6 +193,15 @@ class TestEvaluate:
         b = expand("poch(q^1,q^1)^3", 10)
         assert a == b
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: _ieval(QPow(1), 1), r"not an integer expression: QPow\(k=1\)"),
+        (lambda: evaluate(IVar("n"), 5), r"not a series expression: IVar\(name='n'\)"),
+        (lambda: evaluate(IVar("n"), 40), r"not a series expression: IVar\(name='n'\)"),
+    ], ids=["ieval", "evaluate-walk", "evaluate-eta-path"])
+    def test_a_node_of_the_other_grammar(self, call, message):
+        with pytest.raises(TypeError, match=message):
+            call()
+
     def test_substitution_node(self):
         got = expand("subst(poch(q^1, q^1), q^2)", 20)
         assert got == pochhammer(1, 2, 2, 20)

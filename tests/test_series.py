@@ -278,6 +278,31 @@ def test_equality_is_prefix_based():
     assert Series([1, 2, 3]) != Series([1, 3])
 
 
+def test_repr_and_a_non_series_operand():
+    assert repr(Series([1, 2])) == "Series([1, 2], order=1)"
+    assert repr(Series(range(10))) == "Series([0, 1, 2, 3, 4, 5, 6, 7, ...], order=9)"
+    assert Series([1]).__eq__(1) is NotImplemented
+    assert Series([1]) != 1
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Series([1, 2]).truncate(2), IndexError, r"truncation order 2 outside 0\.\.1"),
+    (lambda: Series([1, 2]).truncate(-1), IndexError, r"truncation order -1 outside 0\.\.1"),
+    (lambda: Series([1]) + 1, TypeError, r"for \+: 'Series' and 'int'"),
+    (lambda: Series([1]) - 1, TypeError, r"for -: 'Series' and 'int'"),
+    (lambda: Series([1]) * 1, TypeError, r"for \*: 'Series' and 'int'"),
+    (lambda: constant(1, -1), ValueError, r"order must be >= 0, got -1"),
+    (lambda: q_power(1, -1), ValueError, r"order must be >= 0, got -1"),
+    (lambda: q_power(-1, 3), ValueError, r"exponent must be >= 0, got -1"),
+    (lambda: pochhammer(1, 1, 1, -1), ValueError, r"order must be >= 0, got -1"),
+    (lambda: equal_upto(Series([1]), Series([1]), -1), ValueError, r"order must be >= 0, got -1"),
+], ids=["truncate-above", "truncate-below", "add", "sub", "mul", "constant-order",
+        "q_power-order", "q_power-exponent", "pochhammer-order", "equal_upto-order"])
+def test_argument_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_algebra_properties_quick():
     # a smaller-seeded sibling of the acceptance run
     assert run_algebra_trials(seed=7, rounds=40) == 200

@@ -154,6 +154,16 @@ class TestThetaSeries:
             theta_series(domain, one, flat, 5)
         assert calls[0] == 10**6 + 1
 
+    @pytest.mark.parametrize("domain, order, error, message", [
+        ("Z", 10, TypeError, "domain must be a Domain, got str"),
+        (None, 10, TypeError, "domain must be a Domain, got NoneType"),
+        (Domain.ALL_INTEGERS, -1, ValueError, "order must be >= 0, got -1"),
+    ], ids=["text-domain", "no-domain", "negative-order"])
+    def test_argument_checks(self, domain, order, error, message):
+        # a domain such as the text "Z" must not be read as N
+        with pytest.raises(error, match=message):
+            theta_series(domain, one, QuadExp(1, 0), order)
+
     def test_dipping_window_not_cut_short(self):
         # exponent dips before growing; every point must still be collected
         s = theta_series(
