@@ -17,10 +17,11 @@ the plain quadratic algorithms they replace.
 Products of powers of (q^b; q^b)_oo never take the dense path
 (:func:`eta_quotient`).  A theta row is a Jacobi triple product
 f(+-q^u, +-q^v) that is an eta quotient -- Euler's pentagonal sum,
-phi(+-q), psi(+-q) -- stored as data, every weight +k or -k.  Each has
-about sqrt(N/b) terms at stride b, so multiplying by one is that many
-slice updates, and dividing by one is the linear recurrence
-g_n = c_n - k sum_e (+-g_{n-e}) over those exponents, the kind of
+phi(+-q), psi(+-q) -- stored as data: 1 + k (sum q^plus - sum q^minus),
+its scale k and two sorted exponent lists.  Each has about sqrt(N/b)
+exponents at stride b, so multiplying by one is that many slice updates,
+and dividing by one is the linear recurrence
+g_n = c_n - k (sum_plus g_{n-e} - sum_minus g_{n-e}), the kind of
 recurrence the pod paper derives (Andrews, The Theory of Partitions,
 ch. 1-2).  A planner writes each vector {b: a_b} once as one ordered
 list of a few such passes: pod's generating function is 1/psi(-q), one
@@ -292,82 +293,70 @@ def pochhammer(sign: int, a: int, b: int, order: int) -> Series:
 # sparse eta kernels
 # ----------------------------------------------------------------------
 #
-# A term list is the sparse polynomial 1 + sum w q^e as (e, w) pairs in
-# increasing e, every e in 1..limit.
+# A row is the sparse polynomial 1 + k (sum q^plus - sum q^minus) as its
+# scale k and its two sorted exponent lists, every exponent in 1..limit.
 
-def _theta_terms(u: int, v: int, s: int, limit: int) -> list:
+def _theta_terms(u: int, v: int, s: int, limit: int) -> tuple:
     """Ramanujan's f(s q^u, s q^v) = sum_{n in Z} s^n q^{u n(n+1)/2 + v n(n-1)/2}
-    up to q^limit.  When u == v, n and -n share an exponent and their
-    weights are merged."""
-    weights = {}
+    up to q^limit, as the row (k, plus, minus).  When u == v, n and -n
+    share an exponent and a sign, so k is 2; otherwise it is 1."""
+    plus, minus = set(), set()
     for step in (1, -1):
         n = step
         while (e := (u * n * (n + 1) + v * n * (n - 1)) // 2) <= limit:
-            weights[e] = weights.get(e, 0) + (s if n & 1 else 1)
+            (minus if s < 0 and n & 1 else plus).add(e)
             n += step
-    return sorted(weights.items())
+    return 1 + (u == v), sorted(plus), sorted(minus)
 
 
-def _scale(terms: list) -> int:
-    """k when every weight is +k or -k, as in each theta row.  A pass
-    whose stride is past the order has no terms, and its k is 1."""
-    scales = {abs(w) for _, w in terms} or {1}
-    if len(scales) > 1:
-        raise ValueError(f"a term list needs weights +-k for one k, got sizes {sorted(scales)}")
-    return scales.pop()
-
-
-def _times(c: list, terms: list) -> list:
-    """c times the term list, truncated to len(c): one slice update per term."""
+def _times(c: list, k: int, plus: list, minus: list) -> list:
+    """c times the row, truncated to len(c): one slice update per exponent."""
     out = list(c)
-    k = _scale(terms)
     kc = c if k == 1 else [k * x for x in c]
-    for e, w in terms:
-        out[e:] = map(operator.add if w > 0 else operator.sub, out[e:], kc)
+    for step, exponents in ((operator.add, plus), (operator.sub, minus)):
+        for e in exponents:
+            out[e:] = map(step, out[e:], kc)
     return out
 
 
-def _runs(exponents: list, size: int):
-    """The runs start..stop-1 of n in 0..size-1 cut at each exponent, so
-    the same terms have e <= n all through a run."""
-    bounds = [0, *exponents, size]
-    return zip(bounds, bounds[1:])
+def _windows(plus: list, minus: list, size: int):
+    """The runs start..stop-1 of n in 0..size-1 cut at each exponent, each
+    with the exponents of either sign that are <= start, which are the
+    e <= n all through the run."""
+    bounds = [0, *sorted(plus + minus), size]
+    for start, stop in zip(bounds, bounds[1:]):
+        yield start, stop, plus[: bisect_right(plus, start)], minus[: bisect_right(minus, start)]
 
 
 def _picker(exponents: list):
     """The function g -> (g[-e] for e in exponents), one C-level call.
     While g_n is computed g holds n coefficients, so g[-e] is g_{n-e}."""
-    if len(exponents) > 1:
-        return operator.itemgetter(*map(operator.neg, exponents))
-    return lambda g: [g[-e] for e in exponents]
+    return (operator.itemgetter(*map(operator.neg, exponents)) if len(exponents) > 1
+            else lambda g: [g[-e] for e in exponents])
 
 
-def _divide(c: list, terms: list) -> list:
-    """g with g * (term list) = c, one coefficient at a time:
-    g_n = c_n - sum_e w_e g_{n-e}, the recurrence of the paper's kind,
-    as k times two plain sums since every weight is +-k."""
-    plus = [e for e, w in terms if w > 0]
-    minus = [e for e, w in terms if w < 0]
-    k = _scale(terms)
+def _divide(c: list, k: int, plus: list, minus: list) -> list:
+    """g with g * (row) = c, one coefficient at a time:
+    g_n = c_n - k (sum_plus g_{n-e} - sum_minus g_{n-e}), the recurrence
+    of the paper's kind."""
     g = []
-    for start, stop in _runs([e for e, _ in terms], len(c)):
-        plus_at = _picker(plus[: bisect_right(plus, start)])
-        minus_at = _picker(minus[: bisect_right(minus, start)])
+    for start, stop, ps, ms in _windows(plus, minus, len(c)):
+        plus_at, minus_at = _picker(ps), _picker(ms)
         for n in range(start, stop):
             g.append(c[n] - k * (sum(plus_at(g)) - sum(minus_at(g))))
     return g
 
 
-# The rows: each is a term-list builder, the eta quotient prod (q^b; q^b)^{a_b}
-# it expands, as {b: a_b}, and its cost per pass at stride 1.  A pass at
-# stride b touches about len(c) coefficients for each of density *
-# sqrt(limit / b) terms, so its cost relative to other passes of the same
-# length is density / sqrt(b) whatever the order.  The theta rows are the
-# Jacobi triple products f(s q^u, s q^v) = (-s q^u; q^{u+v}) (-s q^v; q^{u+v})
-# (q^{u+v}; q^{u+v}) that are eta quotients (Berndt, Ramanujan's Notebooks
-# III, ch. 16, entry 22); their n runs over about 2 sqrt(2 limit / (u + v))
-# integers, half as many exponents when u == v, and every weight is +-1,
-# or +-2 when u == v.
+# The rows: each is its builder, limit -> (k, plus, minus), the eta quotient
+# prod (q^b; q^b)^{a_b} it expands, as {b: a_b}, and its cost per pass at
+# stride 1.  A pass at stride b touches about len(c) coefficients for each
+# of density * sqrt(limit / b) exponents, so its cost relative to other
+# passes of the same length is density / sqrt(b) whatever the order.  The
+# theta rows are the Jacobi triple products f(s q^u, s q^v) =
+# (-s q^u; q^{u+v}) (-s q^v; q^{u+v}) (q^{u+v}; q^{u+v}) that are eta
+# quotients (Berndt, Ramanujan's Notebooks III, ch. 16, entry 22); their n
+# runs over about 2 sqrt(2 limit / (u + v)) integers, half as many
+# exponents when u == v, and the scale k is 1, or 2 when u == v.
 _ROWS = tuple(
     (partial(_theta_terms, u, v, s), vector, 2 * math.sqrt(2 / (u + v)) / (1 + (u == v)))
     for (u, v, s), vector in (
@@ -388,9 +377,10 @@ _EULER = _ROWS[0]
 def _alone(b: int, a: int) -> tuple:
     """The cost and the passes of (q^b; q^b)^a by the Euler or Miller
     kernel alone: Euler's row |a| times for |a| <= 3, and past that the
-    Miller pass (None, b, a), which sums two of Euler's term lists for
-    each of limit coefficients, then takes one dense product, about
-    three Euler passes at stride 1 (measured at orders 300 and 1000)."""
+    Miller pass (None, b, a), which sums over Euler's exponents twice,
+    weighted and plain, for each of limit coefficients, then takes one
+    dense product, about three Euler passes at stride 1 (measured at
+    orders 300 and 1000)."""
     if abs(a) > 3:
         return 2 * _EULER[2] / b**1.5 + 3 * _EULER[2], ((None, b, a),)
     return abs(a) * _EULER[2] / math.sqrt(b), ((_EULER[0], b, 1 if a > 0 else -1),) * abs(a)
@@ -459,21 +449,14 @@ def _eta_power(a: int, limit: int) -> list:
     with f Euler's pentagonal sum, so each g_n costs O(sqrt(n)) terms
     whatever the size of a.  The division by n is exact.
     """
-    terms = _EULER[0](limit)
-    exponents = [e for e, _ in terms]
-    weights = [e * w for e, w in terms]
-    plus = [e for e, w in terms if w == 1]
-    minus = [e for e, w in terms if w == -1]
     g = [1]
-    for start, stop in _runs(exponents, limit + 1):
-        k = bisect_right(exponents, start)
-        pick, ws = _picker(exponents[:k]), weights[:k]
-        plus_at = _picker(plus[: bisect_right(plus, start)])
-        minus_at = _picker(minus[: bisect_right(minus, start)])
+    # Euler's row is (1, plus, minus): its weights are +-1
+    for start, stop, ps, ms in _windows(*_EULER[0](limit)[1:], limit + 1):
+        plus_at, minus_at = _picker(ps), _picker(ms)
         for n in range(max(start, 1), stop):
-            s1 = sum(map(operator.mul, ws, pick(g)))
-            s0 = sum(plus_at(g)) - sum(minus_at(g))
-            g.append(((a + 1) * s1 - n * s0) // n)
+            gp, gm = plus_at(g), minus_at(g)
+            s1 = sum(map(operator.mul, ps, gp)) - sum(map(operator.mul, ms, gm))
+            g.append(((a + 1) * s1 - n * (sum(gp) - sum(gm))) // n)
     return g
 
 
@@ -482,8 +465,9 @@ def eta_quotient(base: Series, etas: dict) -> Series:
 
     The vector is applied as the one ordered list of sparse passes that
     _plan picks for it, once per vector: a row pass multiplies by a theta
-    row, the term list of about sqrt(N/b) terms of a triple product that
-    is an eta quotient, or divides by one through its recurrence.  pod's
+    row, a triple product that is an eta quotient, as its scale and its
+    two exponent lists of about sqrt(N/b) exponents in all, scaled by the
+    stride b, or divides by one through its recurrence.  pod's
     {1: -1, 2: 1, 4: -1} is one division by psi(-q) = f(-q, -q^3), and
     phi(+-q) and psi(q) are rows too.  What the rows leave goes to the
     kernels: a_b = +-1, +-2 or +-3 to Euler's pentagonal sum |a_b|
@@ -492,6 +476,11 @@ def eta_quotient(base: Series, etas: dict) -> Series:
     on a base of 1 the first one is the result.  No plan costs more than
     those kernels alone, and none runs a loop |a_b| times past |a_b| = 3.
     """
+    for b, a in etas.items():
+        if b < 1:
+            raise ValueError(f"eta quotient keys must be >= 1, got {b}")
+        if not isinstance(a, int):
+            raise TypeError(f"eta quotient exponents must be int, got {type(a).__name__}")
     order = base.order
     c = list(base.coeffs)
     # (q^b; q^b)_oo is 1 up to q^order once b > order
@@ -499,11 +488,10 @@ def eta_quotient(base: Series, etas: dict) -> Series:
         if builder is None:
             power = [0] * (order + 1)
             power[:: b] = _eta_power(a, order // b)
-            unit = c[0] == 1 and not any(c[1:])
-            c = power if unit else _product(c, power, order + 1)
+            c = power if c[0] == 1 and not any(c[1:]) else _product(c, power, order + 1)
         else:
-            terms = [(b * e, w) for e, w in builder(order // b)]
-            c = (_times if a > 0 else _divide)(c, terms)
+            k, plus, minus = builder(order // b)
+            c = (_times if a > 0 else _divide)(c, k, [b * e for e in plus], [b * e for e in minus])
     return Series(c)
 
 

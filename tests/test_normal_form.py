@@ -333,6 +333,31 @@ class TestEtaKernels:
         halves[::2] = series._eta_power(etas[2], 100)
         assert got.coeffs == (Series(series._eta_power(etas[1], 200)) * Series(halves)).coeffs
 
+    @pytest.mark.parametrize("a", range(-12, 13))
+    def test_miller_recurrence_is_the_eta_power(self, a):
+        # (q; q)^a as |a| reference products of (q; q) or of its inverse,
+        # with a = 0 and +-1..+-3 too, which no plan sends to a Miller pass;
+        # an expansion to a lower limit is the truncated expansion
+        factor = reference_pochhammer(1, 1, 1, 120)
+        if a < 0:
+            factor = reference_inverse(factor)
+        expected = constant(1, 120)
+        for _ in range(abs(a)):
+            expected = reference_product(expected, factor)
+        for limit in range(121):
+            assert series._eta_power(a, limit) == list(expected.coeffs[: limit + 1]), limit
+
+    @pytest.mark.parametrize("etas, error, message", [
+        ({0: 1}, ValueError, "eta quotient keys must be >= 1, got 0"),
+        ({1: 1, -2: 1}, ValueError, "eta quotient keys must be >= 1, got -2"),
+        ({-2: 0}, ValueError, "eta quotient keys must be >= 1, got -2"),
+        ({1: 1.5}, TypeError, "eta quotient exponents must be int, got float"),
+        ({1: 1, 2: "3"}, TypeError, "eta quotient exponents must be int, got str"),
+    ], ids=["zero-key", "negative-key", "negative-key-zero-exponent", "float-exponent", "str-exponent"])
+    def test_bad_vectors_are_refused(self, etas, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            series.eta_quotient(constant(1, 40), etas)
+
 
 def row_factors(row):
     """The Pochhammer factors of a row, as reference_pochhammer's (sign, a, b):
@@ -351,10 +376,16 @@ class TestRows:
         expected = constant(1, 300)
         for sign, a, b in row_factors(row):
             expected = reference_product(expected, reference_pochhammer(sign, a, b, 300))
-        terms = [(e, w) for e, w in enumerate(expected.coeffs) if w and e]
-        # a truncated series is the series at the lower order
+        # a row reads 1 + k (sum q^plus - sum q^minus), and a truncated
+        # series is the series at the lower order
         for limit in range(301):
-            assert row[0](limit) == [(e, w) for e, w in terms if e <= limit], limit
+            k, plus, minus = row[0](limit)
+            got = [1] + [0] * limit
+            for e in plus:
+                got[e] += k
+            for e in minus:
+                got[e] -= k
+            assert tuple(got) == expected.coeffs[: limit + 1], limit
 
     @pytest.mark.parametrize("row", ROWS, ids=ROW_NAMES)
     def test_vector_is_the_eta_quotient_of_its_factors(self, row):
@@ -386,22 +417,21 @@ class TestRows:
 
     @pytest.mark.parametrize("row", ROWS, ids=ROW_NAMES)
     def test_has_one_weight_scale(self, row):
+        scale = 2 if ROW_NAMES[ROWS.index(row)].startswith("phi") else 1
         for limit in range(1, 201):
-            assert len({abs(w) for _, w in row[0](limit)}) == 1, limit
-
-    def test_scale_refuses_mixed_weights(self):
-        assert series._scale([(1, -2), (3, 2)]) == 2
-        assert series._scale([]) == 1  # a row pass at a stride past the order
-        with pytest.raises(ValueError, match=r"weights \+-k for one k, got sizes \[1, 3\]"):
-            series._scale([(1, -1), (3, 3)])
+            k, plus, minus = row[0](limit)
+            assert k == scale, limit
+            assert plus == sorted(plus) and minus == sorted(minus), limit
+            assert not set(plus) & set(minus), limit
 
     @pytest.mark.parametrize("row", ROWS, ids=ROW_NAMES)
     @pytest.mark.parametrize("stride", [1, 2, 4])
     def test_divide_undoes_times(self, row, stride):
         rng = random.Random(stride)
         c = [rng.randint(-10**6, 10**6) for _ in range(301)]
-        terms = [(stride * e, w) for e, w in row[0](300 // stride)]
-        assert series._divide(series._times(c, terms), terms) == c
+        k, plus, minus = row[0](300 // stride)
+        scaled = (k, [stride * e for e in plus], [stride * e for e in minus])
+        assert series._divide(series._times(c, *scaled), *scaled) == c
 
 
 def plan_vector(plan):
@@ -471,7 +501,7 @@ class TestPlanner:
         for name in ("_times", "_divide"):
             kernel = getattr(series, name)
             monkeypatch.setattr(
-                series, name, lambda c, terms, name=name, kernel=kernel: seen.append(name) or kernel(c, terms))
+                series, name, lambda *row, name=name, kernel=kernel: seen.append(name) or kernel(*row))
         dsl._eta_expansion.cache_clear()
         got = evaluate(parse("gf(pod)"), 1000)
         dsl._eta_expansion.cache_clear()
@@ -540,14 +570,21 @@ class TestPlanner:
         series.eta_quotient(constant(1, 200), etas)
         assert len(seen) == products
 
-    def test_each_chain_is_planned_on_its_own(self):
-        # 300 keys in 150 chains: planned chain by chain they took 22-24 ms,
-        # and one greedy over the whole vector 0.93-1.09 s (2-core host),
-        # a cost that grows with the square of the key count
+    def test_each_chain_is_planned_on_its_own(self, monkeypatch):
+        # 300 keys in 150 chains.  Chain by chain, _peel sees one chain at a
+        # time and the greedy makes 48,130 _alone calls; one greedy over the
+        # whole vector makes 3,612,450, a count that grows with the square
+        # of the key count.
         vector = tuple((b, 2 if b % 3 else -2) for b in range(1, 301))
+        peeled = []
+        peel = series._peel
+        monkeypatch.setattr(series, "_peel", lambda rest: peeled.append(sorted(rest)) or peel(rest))
         series._plan.cache_clear()
         series._alone.cache_clear()
-        started = time.perf_counter()
         plan = series._plan(vector)
-        assert time.perf_counter() - started < 0.1
+        priced = series._alone.cache_info()
+        assert all(len({b // (b & -b) for b in keys}) == 1 for keys in peeled), peeled
+        assert sorted(b for keys in peeled for b in keys) == [b for b, _ in vector]
+        assert len(peeled) == 150
+        assert priced.hits + priced.misses < 100_000
         assert plan_vector(plan) == dict(vector)
