@@ -1,11 +1,15 @@
-"""The immutable value base shared by podium's records and AST nodes.
+"""The immutable value base shared by podium's records, AST nodes and series.
 
 A subclass names its fields, in order, in ``__slots__``, and gives any
 trailing defaults in ``_defaults`` (a class attribute, never a slot
 name: a class attribute of a slot's name is a ValueError).  Instances
 are built positionally or by keyword, equal only to an instance of the
 same class with equal fields, hashed by their fields, printed as
-``Name(field=value, ...)``, and refuse assignment and deletion.
+``Name(field=value, ...)``, and refuse assignment and deletion.  A copy
+or a pickle rebuilds an instance from its fields through the class's
+own constructor, so a subclass that checks its fields in ``__init__``
+(``QuadExp``, ``Series``) checks the copy too.  ``Series`` also keeps
+its own prefix equality, under which it cannot be hashed, and repr.
 
 Building such a class compiles nothing, so importing podium stays cheap
 and loads neither ``inspect`` nor the modules it pulls in.  The helpers

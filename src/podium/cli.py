@@ -135,8 +135,7 @@ def cmd_oracle(args) -> int:
     functions = None
     if args.function is not None:
         functions = [FunctionId.from_name(args.function)]
-    caps = None if args.cap is None else dict.fromkeys(FunctionId, args.cap)
-    return _emit_report(run_oracle_suite(caps=caps, functions=functions), args.out)
+    return _emit_report(run_oracle_suite(args.cap, functions), args.out)
 
 
 def _sha256_of(series) -> str:

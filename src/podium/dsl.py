@@ -656,14 +656,16 @@ def evaluate(node: Expr, order: int) -> Series:
     below NEWTON_BASE, is walked node by node, so errors and their
     messages are the walk's.
 
+    gf(f) is its product form, evaluated here like any other text; it
+    has no cache of its own.
+
     A whole eta quotient is memoized, keyed on its sorted (b, a_b) pairs
     and the order, for the 8 vectors used last: the bundled manifest's 64
     such sides use 27 vectors per order and make 29 expansions (6 to 12
     entries save 35 of the 37 repeats, 16 save all).  An entry is the
     Series returned; at MAX_ORDER the largest bundled side's takes 16 MiB,
-    so 8 such take about 130 MiB, against up to 64 series in
-    partitions.gf_series, which shares the memo's objects, and 256 in
-    pochhammer.  Series are immutable, so a hit is bit-identical.
+    so 8 such take about 130 MiB, against 256 series in pochhammer.
+    Series are immutable, so a hit is bit-identical.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -682,7 +684,7 @@ def evaluate(node: Expr, order: int) -> Series:
     if isinstance(node, Poch):
         return pochhammer(node.sign, node.a, node.b, order)
     if isinstance(node, GfRef):
-        return partitions.gf_series(node.fid, order)
+        return evaluate(product_form(node.fid), order)
     if isinstance(node, Subst):
         return evaluate(node.child, order).substitute(node.k, node.sign)
     if isinstance(node, Chain):

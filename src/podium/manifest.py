@@ -276,18 +276,17 @@ def run_suite(
 
 
 def run_oracle_suite(
-    caps: Optional[Dict[FunctionId, int]] = None,
+    cap: Optional[int] = None,
     functions: Optional[Iterable[FunctionId]] = None,
 ) -> SuiteReport:
     """Compare enumeration against series coefficients for each function.
 
-    Checks f(n) for every n up to the function's cap (or its override in
-    `caps`).  Cap refusals and other ValueErrors surface as error
-    entries, not exceptions.
+    Checks f(n) for every n up to `cap`, or up to each function's default
+    cap when it is None.  Cap refusals and other ValueErrors surface as
+    error entries, not exceptions.
     """
-    caps = caps or {}
     entries = []
     for fid in functions if functions is not None else list(FunctionId):
-        cap = caps.get(fid, DEFAULT_CAPS[fid])
-        entries.append(_timed(fid.value, cap, "", _check_oracle, fid, cap))
+        limit = DEFAULT_CAPS[fid] if cap is None else cap
+        entries.append(_timed(fid.value, limit, "", _check_oracle, fid, limit))
     return SuiteReport(tuple(entries))

@@ -1,12 +1,17 @@
 """The partition-counting functions, each realized two independent ways.
 
 Every function has a closed product form, a line of identity-language
-text in :data:`PRODUCT_FORMS` that :func:`gf_series` evaluates from its
-one parse, :func:`podium.dsl.product_form`, and a brute-force
-combinatorial count, :func:`count_by_enumeration`, that generates the
-defining objects one by one.  The two paths share no code beyond integer
+text in :data:`PRODUCT_FORMS`, and a brute-force combinatorial count,
+:func:`count_by_enumeration`, that generates the defining objects one
+by one.  The two paths share no code beyond integer
 arithmetic, so each one is an oracle for the other; the oracle suite in
 :mod:`podium.manifest` compares them coefficient by coefficient.
+
+A product form has one route to a series: :func:`gf_series` and the
+text ``gf(f)`` both evaluate its one parse,
+:func:`podium.dsl.product_form`, through :func:`podium.dsl.evaluate`.
+No cache here holds the result; that evaluator's eta memo holds a whole
+eta quotient.
 
 The count comes from one depth-first walk per (function, limit) that
 visits every object of total <= limit exactly once, the classical
@@ -72,7 +77,9 @@ class FunctionId(enum.Enum):
 # ----------------------------------------------------------------------
 #
 # POD's other classical quotients are verified as manifest identities, not
-# used as alternates; EO's (1-q) is a plain two-term polynomial.
+# used as alternates.  EO's (1 - q) is a plain two-term polynomial; dividing
+# by it and then by (q^2; q^2) in one flat chain lets the eta planner apply
+# (q^2; q^2) to it as it does every other form's factors.
 
 PRODUCT_FORMS = {
     FunctionId.P: "1 / poch(q^1, q^1)",
@@ -89,14 +96,15 @@ PRODUCT_FORMS = {
     FunctionId.P3: "poch(q^1, q^1)^-3",
     FunctionId.P2MOD4: "1 / poch(q^2, q^4)",
     FunctionId.QODD3: "poch(-q^1, q^2)^3",
-    FunctionId.EO: "1 / ((1 - q^1) * poch(q^2, q^2))",
+    FunctionId.EO: "1 / (1 - q^1) / poch(q^2, q^2)",
     FunctionId.EOBAR: "poch(q^4, q^4)^3 * poch(q^2, q^2)^-2",
 }
 
 
-@lru_cache(maxsize=64)
 def gf_series(fid: FunctionId, order: int) -> Series:
-    """Generating series of `fid` truncated at `order`, via its product form."""
+    """Generating series of `fid` truncated at `order`: its product form,
+    evaluated as the text gf(f) is.  Nothing is cached here; a whole eta
+    quotient is found in dsl.evaluate's eta memo."""
     return dsl.evaluate(dsl.product_form(fid), order)
 
 

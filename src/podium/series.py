@@ -93,11 +93,14 @@ def _product(a, b, size: int) -> list:
     return [int(text[i - digits : i], 16) - half for i in range(len(text), 0, -digits)]
 
 
-class Series:
+class Series(Value):
     """Integer power series in q, truncated at a fixed order (inclusive).
 
+    A value of the base: it refuses assignment and deletion, and copies
+    and pickles as its coefficients.  It checks them when it is built.
     Equality compares coefficientwise up to the smaller of the two orders,
-    so a series agrees with any of its own truncations.
+    so a series agrees with any of its own truncations, and so a series
+    is not hashable.
     """
 
     __slots__ = ("coeffs",)
@@ -110,9 +113,6 @@ class Series:
             if not isinstance(c, int):
                 raise TypeError(f"coefficients must be int, got {type(c).__name__}")
         object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Series is immutable")
 
     @property
     def order(self) -> int:
@@ -477,6 +477,8 @@ def eta_quotient(base: Series, etas: dict) -> Series:
     those kernels alone, and none runs a loop |a_b| times past |a_b| = 3.
     """
     for b, a in etas.items():
+        if not isinstance(b, int):
+            raise TypeError(f"eta quotient keys must be int, got {type(b).__name__}")
         if b < 1:
             raise ValueError(f"eta quotient keys must be >= 1, got {b}")
         if not isinstance(a, int):

@@ -190,15 +190,13 @@ class TestRunSuite:
 
 class TestOracleSuite:
     def test_single_function(self):
-        report = run_oracle_suite(functions=[FunctionId.EO], caps={FunctionId.EO: 20})
+        report = run_oracle_suite(functions=[FunctionId.EO], cap=20)
         assert report.total == 1
         assert report.all_pass
         assert report.entries[0].order == 20
 
     def test_cap_refusal_is_an_entry(self):
-        report = run_oracle_suite(
-            functions=[FunctionId.P3], caps={FunctionId.P3: 60}
-        )
+        report = run_oracle_suite(functions=[FunctionId.P3], cap=60)
         assert report.entries[0].status == "error"
         assert not report.all_pass
 
@@ -209,7 +207,7 @@ class TestOracleSuite:
             "count_by_enumeration",
             lambda fid, n, cap=None: count(fid, n, cap=cap) + (n == 3),
         )
-        report = run_oracle_suite(functions=[FunctionId.P], caps={FunctionId.P: 10})
+        report = run_oracle_suite(functions=[FunctionId.P], cap=10)
         entry = report.entries[0]
         assert entry.status == "mismatch"
         assert entry.detail == "n=3: enumeration 4 != series 3"
@@ -218,14 +216,11 @@ class TestOracleSuite:
         assert "FAIL  p  " in capsys.readouterr().out
 
     def test_bad_cap_is_an_entry(self, no_walk):
-        report = run_oracle_suite(functions=[FunctionId.P], caps={FunctionId.P: -1})
+        report = run_oracle_suite(functions=[FunctionId.P], cap=-1)
         assert report.entries[0].status == "error"
         assert "order must be >= 0" in report.entries[0].detail
 
     def test_entries_in_declaration_order(self):
-        report = run_oracle_suite(
-            functions=list(FunctionId),
-            caps={fid: 6 for fid in FunctionId},
-        )
+        report = run_oracle_suite(functions=list(FunctionId), cap=6)
         assert [e.name for e in report.entries] == [f.value for f in FunctionId]
         assert report.all_pass

@@ -353,7 +353,11 @@ class TestEtaKernels:
         ({-2: 0}, ValueError, "eta quotient keys must be >= 1, got -2"),
         ({1: 1.5}, TypeError, "eta quotient exponents must be int, got float"),
         ({1: 1, 2: "3"}, TypeError, "eta quotient exponents must be int, got str"),
-    ], ids=["zero-key", "negative-key", "negative-key-zero-exponent", "float-exponent", "str-exponent"])
+        ({1.5: 1}, TypeError, "eta quotient keys must be int, got float"),
+        ({2.0: 1}, TypeError, "eta quotient keys must be int, got float"),
+        ({"2": 1}, TypeError, "eta quotient keys must be int, got str"),
+    ], ids=["zero-key", "negative-key", "negative-key-zero-exponent", "float-exponent", "str-exponent",
+            "float-key", "integral-float-key", "str-key"])
     def test_bad_vectors_are_refused(self, etas, error, message):
         with pytest.raises(error, match=f"^{message}$"):
             series.eta_quotient(constant(1, 40), etas)

@@ -1,11 +1,14 @@
-"""The value-type contract of podium's records and AST nodes.
+"""The value-type contract of podium's records, AST nodes and series.
 
 Every one of these types is immutable and compares, hashes and prints by
 its fields: built positionally or by keyword with the field order and
 defaults below, equal only to an instance of the same class with equal
 fields, refusing assignment and deletion, and printed as
-``Name(field=value, ...)``.  Importing podium must stay lean: no module
-that generates or inspects code at import time.
+``Name(field=value, ...)``.  A Series shares the base's immutability,
+copying and pickling, but keeps its own checked constructor, its prefix
+equality, which no hash can agree with, and its own repr.  Importing
+podium must stay lean: no module that generates or inspects code at
+import time.
 """
 
 import copy
@@ -20,7 +23,8 @@ import podium
 from podium.dsl import Chain, GfRef, IFunc, IntLit, IVar, Neg, Poch, Pow, QPow, Subst, Theta
 from podium.manifest import IdentityRecord, SuiteEntry, SuiteReport
 from podium.partitions import _RULES, FunctionId, _Rule, _weight_one
-from podium.series import Mismatch
+from podium._value import Value
+from podium.series import Mismatch, Series
 from podium.theta import Domain, QuadExp
 
 
@@ -175,6 +179,38 @@ def test_missing_argument_refused():
         IdentityRecord(id="a", lhs="1", order=3)
     with pytest.raises(TypeError):
         QuadExp(1)
+
+
+class TestSeries:
+    def series(self):
+        return Series([1, -2, 3**80, 0])
+
+    def test_copies_are_equal(self):
+        series = self.series()
+        copies = [copy.copy(series), copy.deepcopy(series)]
+        copies += [pickle.loads(pickle.dumps(series, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies:
+            assert type(twin) is Series
+            assert twin == series and twin.coeffs == series.coeffs
+
+    def test_assignment_deletion_and_new_attributes_refused(self):
+        series = self.series()
+        before = series.coeffs
+        with pytest.raises(AttributeError):
+            series.coeffs = (1,)
+        with pytest.raises(AttributeError):
+            del series.coeffs
+        with pytest.raises(AttributeError):
+            series.extra = 1
+        assert series.coeffs is before
+        assert not hasattr(series, "__dict__")
+
+    def test_a_value_that_is_not_hashable(self):
+        # its prefix equality and its repr are checked in tests/test_series.py
+        assert isinstance(self.series(), Value)
+        with pytest.raises(TypeError):
+            hash(self.series())
 
 
 class TestDefaults:
