@@ -143,6 +143,13 @@ def _sha256_of(series) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+def _timed_ms(work):
+    """work() and its wall time in milliseconds."""
+    started = time.perf_counter()
+    value = work()
+    return value, (time.perf_counter() - started) * 1000.0
+
+
 def _bench_run(order: int) -> dict:
     """Time the pod build, one pod*pod product and the bundled suite.
 
@@ -152,17 +159,9 @@ def _bench_run(order: int) -> dict:
     include only the eta quotients it expands, not those it finds in the
     memo.
     """
-    started = time.perf_counter()
-    pod = gf_series(FunctionId.POD, order)
-    build_ms = (time.perf_counter() - started) * 1000.0
-
-    started = time.perf_counter()
-    product = pod * pod
-    mul_ms = (time.perf_counter() - started) * 1000.0
-
-    started = time.perf_counter()
-    report = run_suite(order=order)
-    verify_ms = (time.perf_counter() - started) * 1000.0
+    pod, build_ms = _timed_ms(lambda: gf_series(FunctionId.POD, order))
+    product, mul_ms = _timed_ms(lambda: pod * pod)
+    report, verify_ms = _timed_ms(lambda: run_suite(order=order))
 
     return {
         "order": order,
@@ -180,9 +179,7 @@ def cmd_bench(args) -> int:
     orders = [resolve_order(order) for order in args.order or [None]]
     # Load the bundled manifest before any timed run, so that its parse is
     # not charged to the first order's verify_ms.
-    started = time.perf_counter()
-    bundled_manifest()
-    manifest_ms = (time.perf_counter() - started) * 1000.0
+    _, manifest_ms = _timed_ms(bundled_manifest)
     runs = []
     for order in orders:
         run = _bench_run(order)

@@ -61,72 +61,74 @@ _REQUIRED_KEYS = ("id", "lhs", "rhs", "order")
 _NOT_PRINTABLE = re.compile(r"[^\t\n\r -~]")
 
 
+def _integer(value: str, key: str, low: int, high: Optional[int], source: str, line: int) -> int:
+    """A record's `key=` field as an integer from `low` to `high`, or to
+    any size when `high` is None."""
+    try:
+        number = int(value)
+    except ValueError:
+        raise ManifestError(f"{key}= must be an integer", source, line) from None
+    if number < low:
+        raise ManifestError(f"{key}= must be >= {low}", source, line)
+    if high is not None and number > high:
+        raise ManifestError(f"{key}= must be <= {high}", source, line)
+    return number
+
+
+def _add_record(fields: Dict[str, str], records: dict, source: str, line: int) -> None:
+    """Check the fields of the record that starts at `line`, and add it to
+    `records`, the records read before it by id."""
+    for key in _REQUIRED_KEYS:
+        if key not in fields:
+            raise ManifestError(f"record is missing {key}=", source, line)
+    rec_id = fields["id"]
+    if rec_id in records:
+        raise ManifestError(f"duplicate record id {rec_id!r}", source, line)
+    order = _integer(fields["order"], "order", 0, MAX_ORDER, source, line)
+    modulus = _integer(fields["mod"], "mod", 2, None, source, line) if "mod" in fields else None
+    for side in ("lhs", "rhs"):
+        try:
+            dsl.parse(fields[side])
+        except dsl.ParseError as exc:
+            raise ManifestError(
+                f"record {rec_id!r} {side} does not parse: {exc}", source, line
+            ) from exc
+    records[rec_id] = IdentityRecord(
+        id=rec_id,
+        lhs=fields["lhs"],
+        rhs=fields["rhs"],
+        order=order,
+        modulus=modulus,
+        description=fields.get("desc", ""),
+        ref=fields.get("ref", ""),
+        quote=fields.get("quote", ""),
+    )
+
+
 def parse_manifest(text: str, source: str = "<manifest>") -> Tuple[IdentityRecord, ...]:
-    """Parse manifest text into records, validating every expression."""
-    records = []
-    seen_ids = set()
+    """Parse manifest text into records, validating every expression.
+
+    Each line is checked as it is read: the 7-bit printable rule, the one
+    rule on a manifest's characters (load_manifest and bundled_manifest
+    both decode Latin-1, so every byte reaches it), then its key.  A
+    record is checked when the next `[identity]` line or the end of the
+    text is read, so a bad line inside a record is reported before the
+    record's own error, and a bad record before any bad line after the
+    next `[identity]`.
+    """
+    records: Dict[str, IdentityRecord] = {}
     fields: Optional[Dict[str, str]] = None
     start_line = 0
-
-    def flush():
-        nonlocal fields
-        if fields is None:
-            return
-        for key in _REQUIRED_KEYS:
-            if key not in fields:
-                raise ManifestError(f"record is missing {key}=", source, start_line)
-        rec_id = fields["id"]
-        if rec_id in seen_ids:
-            raise ManifestError(f"duplicate record id {rec_id!r}", source, start_line)
-        seen_ids.add(rec_id)
-        try:
-            order = int(fields["order"])
-        except ValueError:
-            raise ManifestError("order= must be an integer", source, start_line) from None
-        if order < 0:
-            raise ManifestError("order= must be >= 0", source, start_line)
-        if order > MAX_ORDER:
-            raise ManifestError(f"order= must be <= {MAX_ORDER}", source, start_line)
-        modulus = None
-        if "mod" in fields:
-            try:
-                modulus = int(fields["mod"])
-            except ValueError:
-                raise ManifestError("mod= must be an integer", source, start_line) from None
-            if modulus < 2:
-                raise ManifestError("mod= must be >= 2", source, start_line)
-        for side in ("lhs", "rhs"):
-            try:
-                dsl.parse(fields[side])
-            except dsl.ParseError as exc:
-                raise ManifestError(
-                    f"record {rec_id!r} {side} does not parse: {exc}", source, start_line
-                ) from exc
-        records.append(
-            IdentityRecord(
-                id=rec_id,
-                lhs=fields["lhs"],
-                rhs=fields["rhs"],
-                order=order,
-                modulus=modulus,
-                description=fields.get("desc", ""),
-                ref=fields.get("ref", ""),
-                quote=fields.get("quote", ""),
-            )
-        )
-        fields = None
-
-    lines = text.splitlines(keepends=True)
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(text.splitlines(keepends=True), start=1):
         if _NOT_PRINTABLE.search(raw):
             raise ManifestError("manifest must be 7-bit printable", source, line_no)
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line == "[identity]":
-            flush()
-            fields = {}
-            start_line = line_no
+            if fields is not None:
+                _add_record(fields, records, source, start_line)
+            fields, start_line = {}, line_no
             continue
         if "=" not in line:
             raise ManifestError(f"expected key=value, got {line!r}", source, line_no)
@@ -139,14 +141,16 @@ def parse_manifest(text: str, source: str = "<manifest>") -> Tuple[IdentityRecor
         if key in fields:
             raise ManifestError(f"duplicate key {key!r}", source, line_no)
         fields[key] = value.strip()
-    flush()
-    return tuple(records)
+    if fields is not None:
+        _add_record(fields, records, source, start_line)
+    return tuple(records.values())
 
 
 def load_manifest(path: str) -> Tuple[IdentityRecord, ...]:
     """Read and parse a manifest file."""
     # Latin-1 decodes every byte, so a byte past 7 bits reaches the
-    # printable check and is reported with its line, not as a decode error.
+    # printable check and is reported with its line, not as a decode error;
+    # bundled_manifest decodes alike.
     with open(path, "r", encoding="latin-1") as handle:
         return parse_manifest(handle.read(), source=path)
 
@@ -158,7 +162,7 @@ def bundled_manifest() -> Tuple[IdentityRecord, ...]:
     # alike; importlib.resources would cost start-up, since from CPython
     # 3.12 it imports inspect.
     path = os.path.join(os.path.dirname(__file__), "data", "identities.txt")
-    text = __spec__.loader.get_data(path).decode("ascii")
+    text = __spec__.loader.get_data(path).decode("latin-1")
     return parse_manifest(text, source="bundled identities.txt")
 
 

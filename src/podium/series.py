@@ -380,7 +380,17 @@ def _alone(b: int, a: int) -> tuple:
     Miller pass (None, b, a), which sums over Euler's exponents twice,
     weighted and plain, for each of limit coefficients, then takes one
     dense product, about three Euler passes at stride 1 (measured at
-    orders 300 and 1000)."""
+    orders 300 and 1000).
+
+    The cutoff is not where these prices break even, at 2/b + 3 sqrt(b)
+    Euler passes (5 at b = 1).  The prices charge every Miller pass its
+    dense product, but _plan puts Miller passes first, and eta_quotient
+    takes no product for the first one on a base of 1.  So a quotient
+    with one large leftover, such as (q^5; q^5)^6, is one Miller pass
+    and no product, where the prices alone would plan six row passes at
+    stride 5.  A plan with several Miller passes pays each product, and
+    there the prices can choose better; one rule for both would need a
+    price that knows the base."""
     if abs(a) > 3:
         return 2 * _EULER[2] / b**1.5 + 3 * _EULER[2], ((None, b, a),)
     return abs(a) * _EULER[2] / math.sqrt(b), ((_EULER[0], b, 1 if a > 0 else -1),) * abs(a)

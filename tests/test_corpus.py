@@ -16,6 +16,13 @@ items of the hostile-text lists of seeds 1 and 2, all read from
 texts and orders are pinned by `inputs.digest`, so that a change to the
 benchmark's inputs shows as itself and not as a change of outcome.
 
+The manifest stratum is read by `manifest.parse_manifest`, which has no
+second path: its outcome is the parsed records' reprs, or the
+exception's type and message, line included.  It holds the hostile-text
+`manifest` items of seeds 1 and 2, each block of `inputs.record_blocks`
+as it is and under `inputs.mutate`'s three edits, and hand-written texts
+for the refusals that no edit reaches; every refusal must be reached.
+
 A later change that moves an outcome on purpose re-pins its stratum and
 says which texts changed and why.
 """
@@ -23,12 +30,13 @@ says which texts changed and why.
 import hashlib
 import importlib.util
 import random
+import re
 from pathlib import Path
 
 import pytest
 
 from conftest import outcome, reference_evaluate
-from podium import dsl
+from podium import dsl, manifest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -105,8 +113,9 @@ def _reference_theta(node, order):
     return reference_evaluate(node, order)
 
 
-def strata() -> dict:
-    """Each stratum's name -> its (text, order) pairs, in a fixed order."""
+def strata() -> tuple:
+    """Each stratum's name -> its (text, order) pairs, in a fixed order;
+    and the manifest texts of the hostile-text lists of seeds 1 and 2."""
     records = inputs.read_records(ROOT)
     out = {"bundled": [(rec[side], order) for order in (20, 40, 300)
                        for rec in records for side in ("lhs", "rhs")]}
@@ -114,12 +123,86 @@ def strata() -> dict:
         items = inputs.generate("identity-stream", seed, ROOT)
         out[f"identity-stream:{seed}"] = [(item[side], item["order"])
                                           for item in items for side in ("lhs", "rhs")]
+    hostile_manifests = []
     for seed in (1, 2):
         items = inputs.generate("hostile-text", seed, ROOT)
         out[f"hostile-text:{seed}"] = [(item["text"], item["order"]) for item in items
                                        if item["kind"] in ("edit", "inexact-div")]
+        hostile_manifests += [item["text"] for item in items if item["kind"] == "manifest"]
     out["theta-exponents"] = theta_exponents()
-    return out
+    return out, hostile_manifests
+
+
+RECORD = """[identity]
+id=r
+desc=a record
+ref=somewhere
+quote=$1 = 1$
+lhs=1
+rhs=1
+order=10
+"""
+
+# Texts for each refusal that the seeded mutations of the bundled blocks
+# do not reach, for the edges of order= and mod= that are accepted, and
+# for which error wins: a record is checked at the next [identity] line
+# or at the end, so a bad line inside a bad record is reported first, and
+# a bad record before a bad line after the next [identity].
+HAND_WRITTEN = [
+    RECORD.replace("ref=somewhere", "ref=some\x0cwhere"),
+    RECORD.replace("ref=somewhere", "ref=some\x1bwhere"),
+    RECORD.replace("ref=somewhere", "ref=some\xe9where"),
+    RECORD.replace("ref=somewhere", "ref=some\x7fwhere"),
+    "desc=stray\n" + RECORD,
+    RECORD + "lhs=2\n",
+    RECORD + RECORD,
+    RECORD.replace("order=10", "order=-1"),
+    RECORD.replace("order=10", "order=100001"),
+    RECORD.replace("order=10", "order=100000"),
+    RECORD + "mod=two\n",
+    RECORD + "mod=1\n",
+    RECORD + "mod=2\n",
+    RECORD.replace("rhs=1\n", "") + "hello\n" + RECORD.replace("id=r", "id=s"),
+    RECORD.replace("rhs=1\n", "") + RECORD.replace("id=r", "id=s") + "hello\n",
+    RECORD.replace("order=10", "order=ten") + RECORD.replace("id=r", "id=s").replace("lhs=1", "lhs=(1"),
+    RECORD.replace("order=10", "order=-5") + "\x1b\n",
+    "# only a comment\n\n",
+]
+
+# The reader's refusals, each as a pattern of its message after "source:line: ".
+MANIFEST_MESSAGES = (
+    r"manifest must be 7-bit printable$",
+    r"expected key=value, got '.*'$",
+    r"unknown key '.*'$",
+    r"key=value outside any \[identity\] record$",
+    r"duplicate key '.*'$",
+    r"record is missing (id|lhs|rhs|order)=$",
+    r"duplicate record id '.*'$",
+    r"order= must be an integer$",
+    r"order= must be >= 0$",
+    rf"order= must be <= {manifest.MAX_ORDER}$",
+    r"mod= must be an integer$",
+    r"mod= must be >= 2$",
+    r"record '.*' (lhs|rhs) does not parse: ",
+)
+
+
+def manifest_texts(hostile: list) -> list:
+    """The manifest stratum: the hostile-text `manifest` items, each
+    bundled [identity] block as it is and under `inputs.mutate` ops 0, 1
+    and 2 at four seeded offsets each, and the hand-written texts."""
+    blocks = inputs.record_blocks(ROOT)
+    rng = random.Random("manifest-blocks")
+    mutated = [inputs.mutate(rng, block, op) for block in blocks for op in (0, 1, 2) for _ in range(4)]
+    return hostile + blocks + mutated + HAND_WRITTEN
+
+
+def manifest_outcome(text: str) -> str:
+    """The parsed records' reprs, or the exception's type and message."""
+    try:
+        return repr(manifest.parse_manifest(text))
+    except ValueError as exc:
+        return f"{type(exc).__module__}.{type(exc).__qualname__}: {exc}"
 
 
 def line(result) -> str:
@@ -159,7 +242,8 @@ PINS = {
         "72feb00cdf79226277174a4e26375d39dc9982f610b1e98f3a4f35c12cfe7702"),
 }
 
-STRATA = strata()
+STRATA, HOSTILE_MANIFESTS = strata()
+MANIFESTS = manifest_texts(HOSTILE_MANIFESTS)
 
 
 def test_every_stratum_is_pinned():
@@ -183,3 +267,24 @@ def test_outcomes_equal_the_dense_walk_and_the_pin(name):
         first = "\n".join(differ[:5])
         pytest.fail(f"{name}: {len(differ)} texts differ from the dense walk, the first:\n{first}")
     assert digest(results) == outcomes_digest, f"{name}: the outcomes moved from their pin on both paths alike"
+
+
+# (count, inputs.digest of the texts, sha256 of their outcomes)
+MANIFEST_PIN = (728, "f5cf58651b43a1606117692fdaf363bee4cbf469cb750919782924017bc8862d",
+                "9bee7bf95a6a69dbc439298af1a48d669ff29d25f75344f7b0f940137c09469d")
+
+
+def test_manifest_outcomes_reach_every_refusal_and_hold_their_pin():
+    count, texts_digest, outcomes_digest = MANIFEST_PIN
+    assert (len(MANIFESTS), inputs.digest(MANIFESTS)) == (count, texts_digest), "the texts changed"
+    outcomes = [manifest_outcome(text) for text in MANIFESTS]
+    messages = [match[1] for out in outcomes
+                if (match := re.match(r"podium\.manifest\.ManifestError: <manifest>:\d+: (.*)", out))]
+    missed = [pattern for pattern in MANIFEST_MESSAGES
+              if not any(re.match(pattern, message) for message in messages)]
+    assert not missed, f"no text reaches {missed}"
+    unknown = [message for message in messages
+               if not any(re.match(pattern, message) for pattern in MANIFEST_MESSAGES)]
+    assert not unknown, f"messages outside the list: {unknown[:5]}"
+    got = hashlib.sha256("".join(out + "\n" for out in outcomes).encode()).hexdigest()
+    assert got == outcomes_digest, "the manifest outcomes moved from their pin"

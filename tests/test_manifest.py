@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from podium import manifest
@@ -7,11 +9,14 @@ from podium.manifest import (
     IdentityRecord,
     ManifestError,
     bundled_manifest,
+    load_manifest,
     parse_manifest,
     run_oracle_suite,
     run_suite,
 )
 from podium.partitions import FunctionId
+
+BUNDLED_FILE = Path(manifest.__file__).parent / "data" / "identities.txt"
 
 
 class TestBundled:
@@ -40,6 +45,20 @@ class TestBundled:
         for rec in bundled_manifest():
             assert rec.order in (200, 300)
             assert rec.modulus in (None, 2)
+
+    def test_both_readers_give_the_same_records(self):
+        assert load_manifest(str(BUNDLED_FILE)) == bundled_manifest()
+
+    def test_a_byte_past_7_bits_names_its_line(self, monkeypatch):
+        # both readers decode Latin-1, so the byte meets the printable rule
+        data = bytearray(BUNDLED_FILE.read_bytes())
+        line = 20
+        at = [i for i, byte in enumerate(data) if byte == ord("\n")][line - 2] + 3
+        data[at:at] = b"\xe9"
+        monkeypatch.setattr(manifest.__spec__.loader, "get_data", lambda path: bytes(data))
+        with pytest.raises(ManifestError) as err:
+            bundled_manifest.__wrapped__()
+        assert str(err.value).endswith(f":{line}: manifest must be 7-bit printable")
 
 
 GOOD = """

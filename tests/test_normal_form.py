@@ -564,6 +564,7 @@ class TestPlanner:
         ({1: 10**6}, 0),
         ({1: 10**6, 2: -10**6}, 1),
         ({1: 1, 2: 10**6}, 0),  # planned as a row pass, psi(q), and a Miller pass
+        ({5: 6}, 0),  # one Miller pass, where the prices alone plan six Euler passes
     ])
     def test_miller_passes_come_first(self, monkeypatch, etas, products):
         # on a base of 1 the first Miller pass is the result, so it takes
@@ -573,6 +574,11 @@ class TestPlanner:
         monkeypatch.setattr(series, "_product", lambda *args: seen.append(args) or product(*args))
         series.eta_quotient(constant(1, 200), etas)
         assert len(seen) == products
+
+    def test_a_lone_leftover_past_3_is_one_miller_pass(self):
+        # the prices alone would plan (q^5; q^5)^6 as six Euler passes at
+        # stride 5; one Miller pass on a base of 1 takes no product
+        assert series._plan(((5, 6),)) == ((None, 5, 6),)
 
     def test_each_chain_is_planned_on_its_own(self, monkeypatch):
         # 300 keys in 150 chains.  Chain by chain, _peel sees one chain at a
