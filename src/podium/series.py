@@ -14,6 +14,14 @@ the exact recurrence on the first few dozen coefficients and Newton's
 iteration above them.  The tests compare every kernel bit for bit with
 the plain quadratic algorithms they replace.
 
+A single product (+-q^a; q^b)_oo (:func:`pochhammer`) is Euler's sum
+(x; q)_oo = sum_n (-1)^n q^{n(n-1)/2} x^n / (q; q)_n at q -> q^b,
+x = +-q^a (Andrews, The Theory of Partitions, Thm 2.1 and Cor. 2.2).
+About sqrt(2N/b) of its terms reach order N.  Summed in Horner's form,
+each term is one division by 1 - q^m, a running sum done in a few slice
+operations, so the build is O(N sqrt(N/b)) instead of O(N^2/b) for one
+pass per factor.
+
 Products of powers of (q^b; q^b)_oo never take the dense path
 (:func:`eta_quotient`).  A theta row is a Jacobi triple product
 f(+-q^u, +-q^v) that is an eta quotient -- Euler's pentagonal sum,
@@ -36,6 +44,7 @@ import math
 import operator
 from bisect import bisect_right
 from functools import lru_cache, partial
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional
 
 from ._value import Value
@@ -269,9 +278,17 @@ def q_power(k: int, order: int) -> Series:
 def pochhammer(sign: int, a: int, b: int, order: int) -> Series:
     """Truncated infinite product prod_{k>=0} (1 - sign * q^{a+k*b}).
 
-    sign=+1 builds (q^a; q^b)_oo, sign=-1 builds (-q^a; q^b)_oo.  Each
-    factor is applied as a sparse in-place update, touching only the
-    entries it can reach, so the total work is far below a full product.
+    sign=+1 builds (q^a; q^b)_oo, sign=-1 builds (-q^a; q^b)_oo.  The
+    product is Euler's sum (x; q)_oo = sum_n (-1)^n q^{n(n-1)/2} x^n / (q; q)_n
+    at q -> q^b, x = sign q^a (Andrews, The Theory of Partitions, Thm 2.1
+    and Cor. 2.2).  Its term n starts at q^T(n), T(n) = a n + b n(n-1)/2,
+    so about sqrt(2N/b) terms reach order N.  They are summed in Horner's
+    form, innermost first: S <- 1 - sign q^{a+(l-1)b} S / (1 - q^{lb}) for
+    each level l from the last term down to 1, with S kept to the
+    N + 1 - T(l) coefficients that can still reach the result.  Dividing
+    by 1 - q^m is a running sum on each residue class mod m, done in
+    min(m, N/m) slice operations, so the build is O(N sqrt(N/b)) additions
+    where one pass per factor would be O(N^2/b).
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
@@ -279,14 +296,25 @@ def pochhammer(sign: int, a: int, b: int, order: int) -> Series:
         raise ValueError(f"pochhammer needs a >= 1 and b >= 1, got a={a}, b={b}")
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    c = [0] * (order + 1)
-    c[0] = 1
-    step = operator.sub if sign == 1 else operator.add
-    for e in range(a, order + 1, b):
-        # the right side is built in full from the old values before the
-        # slice is replaced, as multiplying by the factor needs
-        c[e:] = list(map(step, c[e:], c))
-    return Series(c)
+    n = 0
+    while a * (n + 1) + b * (n + 1) * n // 2 <= order:
+        n += 1
+    # s holds (-sign)^(l-1) S at level l, so each step is
+    # s <- (-sign)^(l-1) + q^{a+(l-1)b} s / (1 - q^{lb}) and no level pays
+    # for negating every coefficient
+    s = [(-sign) ** n] + [0] * (order - a * n - b * n * (n - 1) // 2)
+    for level in range(n, 0, -1):
+        m = level * b
+        if m * m <= len(s):
+            # few long residue classes: one running sum each
+            for r in range(m):
+                s[r::m] = accumulate(s[r::m])
+        else:
+            # few long blocks: each block adds the one before it
+            for j in range(m, len(s), m):
+                s[j : j + m] = map(operator.add, s[j : j + m], s[j - m : j])
+        s = [(-sign) ** (level - 1)] + [0] * (a + (level - 1) * b - 1) + s
+    return Series(s)
 
 
 # ----------------------------------------------------------------------

@@ -3,13 +3,15 @@
 `reference_product`, `reference_inverse` and `reference_pochhammer` are
 the plain quadratic algorithms the library's kernels replaced: the
 schoolbook Cauchy convolution, the unit-constant recurrence and the
-per-index Pochhammer update.  They are slow and obviously right, and the
-fast kernels must equal them bit for bit.
+per-index Pochhammer update, one factor at a time.  They are slow and
+obviously right, and the fast kernels (the Kronecker product, the Newton
+inverse and the Euler-sum Pochhammer build) must equal them bit for bit.
 
 `reference_evaluate` is the plain tree walk the evaluator replaced above
-small orders: every node is a dense Series, every product a `*` and every
-quotient an inverse.  The eta-quotient evaluator must give the same
-coefficients, or raise the same exception with the same message.
+small orders: every node is a dense Series, every `poch` the reference
+Pochhammer product, every product a `*` and every quotient an inverse.
+The eta-quotient evaluator must give the same coefficients, or raise the
+same exception with the same message.
 
 `reference_count` is the enumeration oracle's old per-n generator: it
 builds the objects of total exactly n one slot at a time, skipping a slot
@@ -30,7 +32,7 @@ import random
 import pytest
 
 from podium import dsl, partitions
-from podium.series import Series, constant, pochhammer, q_power
+from podium.series import Series, constant, q_power
 from podium.theta import theta_series
 
 
@@ -72,7 +74,7 @@ def reference_evaluate(node, order: int) -> Series:
     if isinstance(node, dsl.QPow):
         return q_power(node.k, order)
     if isinstance(node, dsl.Poch):
-        return pochhammer(node.sign, node.a, node.b, order)
+        return reference_pochhammer(node.sign, node.a, node.b, order)
     if isinstance(node, dsl.GfRef):
         return reference_evaluate(dsl.parse(partitions.PRODUCT_FORMS[node.fid]), order)
     if isinstance(node, dsl.Subst):

@@ -318,7 +318,7 @@ HUGE = 2**15000  # over 4300 decimal digits: any trip through decimal text raise
 
 
 class TestKernelsMatchReferences:
-    """The Kronecker product, the Newton inverse and the sliced Pochhammer
+    """The Kronecker product, the Newton inverse and the Euler-sum Pochhammer
     builder equal the quadratic reference kernels bit for bit."""
 
     @pytest.mark.parametrize("seed", range(6))
@@ -387,3 +387,17 @@ class TestKernelsMatchReferences:
                 for a, b in ((1, 1), (1, 2), (2, 2), (3, 5), (4, 4), (order + 1, 1)):
                     expected = list(reference_pochhammer(sign, a, b, order))
                     assert list(pochhammer(sign, a, b, order)) == expected
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_pochhammer_every_small_shape(self, sign):
+        # Euler's term n starts at q^(a n + b n(n-1)/2): at that order it is
+        # the last term kept, and one order lower it is dropped
+        for a in range(1, 8):
+            for b in range(1, 8):
+                tops = [a * n + b * n * (n - 1) // 2 for n in range(1, 7)]
+                for order in sorted({0, 1, 2, 5, 37, 200, *tops, *[t - 1 for t in tops]}):
+                    expected = list(reference_pochhammer(sign, a, b, order))
+                    assert list(pochhammer(sign, a, b, order)) == expected, (a, b, order)
+        # the two factors of hexagonal-triple-product, which have no eta form
+        for a in (1, 3):
+            assert list(pochhammer(sign, a, 4, 1000)) == list(reference_pochhammer(sign, a, 4, 1000))
