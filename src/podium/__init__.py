@@ -7,11 +7,12 @@ integers, with no rounding anywhere.  It provides:
   products, Newton inverses, substitutions, Pochhammer products and the
   sparse eta-quotient kernels);
 - :mod:`podium.theta`: the evaluator of theta-type sums;
-- :mod:`podium.partitions`: sixteen partition-counting functions, each
-  with a product form (identity-language text) and an independent
-  enumeration oracle;
 - :mod:`podium.dsl`: a small expression language so identities are data,
-  and the one path from text to a series (named theta sums included);
+  and the one path from text to a series; it owns the names of the
+  sixteen partition-counting functions, their product forms and the
+  named theta sums;
+- :mod:`podium.partitions`: an independent enumeration oracle for each
+  counting function, and its series and table from the product form;
 - :mod:`podium.manifest`: a bundled manifest of classical identities and
   the runners that verify it;
 - :mod:`podium.cli`: the `podium` command.
@@ -31,12 +32,11 @@ from .partitions import (
     DEFAULT_CAPS,
     HARD_CAPS,
     CapExceededError,
-    FunctionId,
     count_by_enumeration,
     gf_series,
     table,
 )
-from .dsl import EvalError, ParseError, check, evaluate, expand, named_theta, parse, pretty
+from .dsl import EvalError, FunctionId, ParseError, check, evaluate, expand, named_theta, parse, pretty
 from .manifest import (
     MAX_ORDER,
     IdentityRecord,

@@ -21,7 +21,7 @@ import time
 from typing import Optional
 
 from . import __version__
-from .dsl import parse, evaluate
+from .dsl import FunctionId, evaluate, parse
 from .manifest import (
     MAX_ORDER,
     bundled_manifest,
@@ -29,7 +29,7 @@ from .manifest import (
     run_oracle_suite,
     run_suite,
 )
-from .partitions import FunctionId, gf_series, table
+from .partitions import gf_series, table
 
 FALLBACK_ORDER = 300
 

@@ -37,8 +37,10 @@ opens one.  Chains are flat, so each level adds at most a sum, a product
 and a power to the tree, and the parser, evaluator and printer, which
 all recurse, stay inside Python's default recursion limit.
 
-This is the one path from text to a Series: the counting functions'
-product forms and the named theta sums are text evaluated here.
+This is the one path from text to a Series, and it owns every name and
+text it expands: the sixteen counting functions (:class:`FunctionId`),
+each with its product form in :data:`PRODUCT_FORMS`, which gf(f)
+stands for, and the named theta sums in :data:`NAMED_THETA`.
 
 Evaluation goes through an eta-quotient normal form (:func:`normal_form`):
 an expression built from poch, gf and 1 by "*", "/", "^" and subst
@@ -66,6 +68,7 @@ gain nothing measurable there.
 
 from __future__ import annotations
 
+import enum
 import operator
 import re
 from collections import namedtuple
@@ -73,7 +76,6 @@ from functools import lru_cache
 from itertools import zip_longest
 from typing import Dict, Optional, Tuple, Union
 
-from . import partitions  # read at call time: partitions imports this module
 from ._value import Value
 from .series import (
     NEWTON_BASE,
@@ -344,9 +346,9 @@ class _Parser:
         if tok.kind != "name":
             self.fail(("function name",))
         try:
-            fid = partitions.FunctionId.from_name(tok.text)
+            fid = FunctionId.from_name(tok.text)
         except ValueError:
-            known = ", ".join(f.value for f in partitions.FunctionId)
+            known = ", ".join(f.value for f in FunctionId)
             raise ParseError(
                 f"unknown gf name {tok.text!r}", tok.offset, (known,)
             ) from None
@@ -583,9 +585,9 @@ def _substituted(etas: Etas, k: int, sign: int) -> Etas:
 
 
 @lru_cache(maxsize=None)
-def product_form(fid: "partitions.FunctionId") -> Expr:
+def product_form(fid: FunctionId) -> Expr:
     """The parsed product form of a counting function, parsed once."""
-    return parse(partitions.PRODUCT_FORMS[fid])
+    return parse(PRODUCT_FORMS[fid])
 
 
 def normal_form(node: Expr) -> Optional[Etas]:
@@ -705,6 +707,61 @@ def evaluate(node: Expr, order: int) -> Series:
 def expand(text: str, order: int) -> Series:
     """Parse and evaluate in one step."""
     return evaluate(parse(text), order)
+
+
+class FunctionId(enum.Enum):
+    """The sixteen counting functions; values are the CLI-facing names."""
+
+    P = "p"            # unrestricted partitions
+    POD = "pod"        # odd parts distinct
+    PED = "ped"        # even parts distinct
+    QDIST = "qdist"    # all parts distinct
+    QODD = "qodd"      # distinct odd parts only
+    PEO = "peo"        # (-1)^{#parts} over all partitions
+    QEO = "qeo"        # (-1)^{#odd parts} over distinct-part partitions
+    OPBAR = "opbar"    # overpartitions
+    OPODD = "opodd"    # overpartitions into odd parts
+    AFUN = "afun"      # (-1)^{#parts} over 2-colored-even partitions
+    CUBIC = "cubic"    # even parts in two colors
+    P3 = "p3"          # all parts in three colors
+    P2MOD4 = "p2mod4"  # parts congruent to 2 mod 4
+    QODD3 = "qodd3"    # distinct odd parts in three colors
+    EO = "eo"          # every even part below every odd part
+    EOBAR = "eobar"    # EO, odd multiplicity only at the largest even part
+
+    @classmethod
+    def from_name(cls, name: str) -> FunctionId:
+        for fid in cls:
+            if fid.value == name:
+                return fid
+        known = ", ".join(f.value for f in cls)
+        raise ValueError(f"unknown function {name!r}; known: {known}")
+
+
+# One product form per counting function, the text gf(f) stands for.
+# POD's other classical quotients are verified as manifest identities, not
+# used as alternates.  EO's (1 - q) is a plain two-term polynomial; dividing
+# by it and then by (q^2; q^2) in one flat chain lets the eta planner apply
+# (q^2; q^2) to it as it does every other form's factors.
+
+PRODUCT_FORMS = {
+    FunctionId.P: "1 / poch(q^1, q^1)",
+    FunctionId.POD: "poch(q^2, q^2) / (poch(q^1, q^1) * poch(q^4, q^4))",
+    FunctionId.PED: "poch(q^4, q^4) / poch(q^1, q^1)",
+    FunctionId.QDIST: "poch(-q^1, q^1)",
+    FunctionId.QODD: "poch(-q^1, q^2)",
+    FunctionId.PEO: "1 / poch(-q^1, q^1)",
+    FunctionId.QEO: "1 / poch(-q^1, q^2)",
+    FunctionId.OPBAR: "poch(q^2, q^2) * poch(q^1, q^1)^-2",
+    FunctionId.OPODD: "poch(q^2, q^2)^3 / (poch(q^1, q^1)^2 * poch(q^4, q^4))",
+    FunctionId.AFUN: "poch(q^1, q^1) / poch(q^4, q^4)",
+    FunctionId.CUBIC: "1 / (poch(q^1, q^1) * poch(q^2, q^2))",
+    FunctionId.P3: "poch(q^1, q^1)^-3",
+    FunctionId.P2MOD4: "1 / poch(q^2, q^4)",
+    FunctionId.QODD3: "poch(-q^1, q^2)^3",
+    FunctionId.EO: "1 / (1 - q^1) / poch(q^2, q^2)",
+    FunctionId.EOBAR: "poch(q^4, q^4)^3 * poch(q^2, q^2)^-2",
+}
 
 
 # The classical theta specializations.  phi and psi are the two standard

@@ -17,12 +17,8 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from . import dsl
 from ._value import Value
-from .partitions import (
-    DEFAULT_CAPS,
-    FunctionId,
-    count_by_enumeration,
-    gf_series,
-)
+from .dsl import FunctionId
+from .partitions import DEFAULT_CAPS, count_by_enumeration, gf_series
 
 
 # The largest truncation order accepted from outside: a manifest's

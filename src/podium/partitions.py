@@ -1,11 +1,16 @@
 """The partition-counting functions, each realized two independent ways.
 
-Every function has a closed product form, a line of identity-language
-text in :data:`PRODUCT_FORMS`, and a brute-force combinatorial count,
+Every function (:class:`podium.dsl.FunctionId`) has a closed product
+form, a line of identity-language text in
+:data:`podium.dsl.PRODUCT_FORMS`, and a brute-force combinatorial count,
 :func:`count_by_enumeration`, that generates the defining objects one
-by one.  The two paths share no code beyond integer
-arithmetic, so each one is an oracle for the other; the oracle suite in
+by one.  The two paths share no code beyond integer arithmetic, so each
+one is an oracle for the other; the oracle suite in
 :mod:`podium.manifest` compares them coefficient by coefficient.
+
+The names and the texts belong to the identity language that expands
+them.  This module keeps the work that no other module does: the
+enumeration oracles, :func:`gf_series` and :func:`table`.
 
 A product form has one route to a series: :func:`gf_series` and the
 text ``gf(f)`` both evaluate its one parse,
@@ -29,76 +34,19 @@ object the function does not count weighs 0, and an overpartition weighs
 
 from __future__ import annotations
 
-import enum
 from functools import lru_cache
 from typing import Optional
 
 from . import dsl
 from ._value import Value
+# PRODUCT_FORMS is not used here; podium.partitions.PRODUCT_FORMS stays importable
+from .dsl import PRODUCT_FORMS, FunctionId  # noqa: F401
 # pochhammer is not called here, but benchmark/test_benchmark.py checks this binding
 from .series import Series, pochhammer  # noqa: F401
 
 
 class CapExceededError(ValueError):
     """Enumeration was asked to run past its safety cap."""
-
-
-class FunctionId(enum.Enum):
-    """The sixteen counting functions; values are the CLI-facing names."""
-
-    P = "p"            # unrestricted partitions
-    POD = "pod"        # odd parts distinct
-    PED = "ped"        # even parts distinct
-    QDIST = "qdist"    # all parts distinct
-    QODD = "qodd"      # distinct odd parts only
-    PEO = "peo"        # (-1)^{#parts} over all partitions
-    QEO = "qeo"        # (-1)^{#odd parts} over distinct-part partitions
-    OPBAR = "opbar"    # overpartitions
-    OPODD = "opodd"    # overpartitions into odd parts
-    AFUN = "afun"      # (-1)^{#parts} over 2-colored-even partitions
-    CUBIC = "cubic"    # even parts in two colors
-    P3 = "p3"          # all parts in three colors
-    P2MOD4 = "p2mod4"  # parts congruent to 2 mod 4
-    QODD3 = "qodd3"    # distinct odd parts in three colors
-    EO = "eo"          # every even part below every odd part
-    EOBAR = "eobar"    # EO, odd multiplicity only at the largest even part
-
-    @classmethod
-    def from_name(cls, name: str) -> "FunctionId":
-        for fid in cls:
-            if fid.value == name:
-                return fid
-        known = ", ".join(f.value for f in cls)
-        raise ValueError(f"unknown function {name!r}; known: {known}")
-
-
-# ----------------------------------------------------------------------
-# product-form generating series
-# ----------------------------------------------------------------------
-#
-# POD's other classical quotients are verified as manifest identities, not
-# used as alternates.  EO's (1 - q) is a plain two-term polynomial; dividing
-# by it and then by (q^2; q^2) in one flat chain lets the eta planner apply
-# (q^2; q^2) to it as it does every other form's factors.
-
-PRODUCT_FORMS = {
-    FunctionId.P: "1 / poch(q^1, q^1)",
-    FunctionId.POD: "poch(q^2, q^2) / (poch(q^1, q^1) * poch(q^4, q^4))",
-    FunctionId.PED: "poch(q^4, q^4) / poch(q^1, q^1)",
-    FunctionId.QDIST: "poch(-q^1, q^1)",
-    FunctionId.QODD: "poch(-q^1, q^2)",
-    FunctionId.PEO: "1 / poch(-q^1, q^1)",
-    FunctionId.QEO: "1 / poch(-q^1, q^2)",
-    FunctionId.OPBAR: "poch(q^2, q^2) * poch(q^1, q^1)^-2",
-    FunctionId.OPODD: "poch(q^2, q^2)^3 / (poch(q^1, q^1)^2 * poch(q^4, q^4))",
-    FunctionId.AFUN: "poch(q^1, q^1) / poch(q^4, q^4)",
-    FunctionId.CUBIC: "1 / (poch(q^1, q^1) * poch(q^2, q^2))",
-    FunctionId.P3: "poch(q^1, q^1)^-3",
-    FunctionId.P2MOD4: "1 / poch(q^2, q^4)",
-    FunctionId.QODD3: "poch(-q^1, q^2)^3",
-    FunctionId.EO: "1 / (1 - q^1) / poch(q^2, q^2)",
-    FunctionId.EOBAR: "poch(q^4, q^4)^3 * poch(q^2, q^2)^-2",
-}
 
 
 def gf_series(fid: FunctionId, order: int) -> Series:

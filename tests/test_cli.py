@@ -177,6 +177,15 @@ class TestExpand:
         assert out == ""
         assert err.count("\n") == 1
 
+    def test_huge_exponent_of_a_dense_base_exits_2_at_once(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "expand", "(1 - q^1)^" + "9" * 60, "--order", "200")
+        assert time.perf_counter() - started < 2.0
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "power too large" in err
+
     def test_eta_to_the_millionth_is_fast(self, capsys):
         started = time.perf_counter()
         code, out, _ = run(capsys, "expand", "poch(q^1, q^1)^1000000", "--order", "200")

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from podium import series
 from podium.series import (
+    MAX_POWER_WORK,
     NEWTON_BASE,
     Mismatch,
     Series,
@@ -159,6 +161,42 @@ class TestPower:
     def test_negative_power_of_non_unit(self):
         with pytest.raises(ValueError):
             Series([3, 1]).power(-1)
+
+    def test_zero_constant_term_shifts_by_the_valuation(self):
+        a = Series([0, 0, 3, -1, 0, 2, 0, 0, 0, 0, 0, 0, 0])
+        expected = constant(1, a.order)
+        for k in range(8):
+            assert a.power(k).coeffs == expected.coeffs
+            expected = expected * a
+        assert Series([0, 0, 1, 1]).power(2) == Series([0, 0, 0, 0])
+        assert q_power(1, 0).power(10**60) == Series([0])
+
+    def test_huge_exponent_of_a_unit_or_at_a_low_order(self):
+        assert Series([-1, 0, 0]).power(10**60 + 1) == Series([-1, 0, 0])
+        k = 10**60
+        assert Series([1, -1, 0]).power(k) == Series([1, -k, k * (k - 1) // 2])
+
+    def test_past_the_ceiling_raises_before_any_product(self, monkeypatch):
+        calls = []
+        product = series._product
+        monkeypatch.setattr(series, "_product", lambda *args: calls.append(1) or product(*args))
+        dense = Series([1, -1] + [0] * 199)
+        with pytest.raises(ValueError, match="power too large"):
+            dense.power(10**60 - 1)
+        assert calls == []
+
+    def test_just_under_the_ceiling_equals_repeated_multiplication(self):
+        # (1 + q^1000)^k at order 1000: B is k, far above its true 10 bits,
+        # so the ceiling falls at bits(k) * 1001 * k
+        a = Series([1] + [0] * 999 + [1])
+        k = MAX_POWER_WORK // (10 * 1001)
+        assert k.bit_length() == 10
+        expected = a
+        for _ in range(k - 1):
+            expected = expected * a
+        assert a.power(k).coeffs == expected.coeffs == (1,) + (0,) * 999 + (k,)
+        with pytest.raises(ValueError, match="power too large"):
+            a.power(k + 1)
 
 
 class TestSubstitute:
