@@ -630,16 +630,15 @@ def _merge(factors) -> Tuple[Etas, list]:
 
 def _walk(operands, order: int) -> Series:
     """The (op, operand) pairs of a chain, evaluated and combined left to
-    right; a factor 1 multiplies nothing, so 1 / x is x's inverse alone."""
+    right.  A constant factor is a scale in the series product, so 1 / x
+    is x's inverse and one O(N) scale, with no dense product."""
     value = None
     for op, operand in operands:
-        if op in ("*", "/") and operand == IntLit(1):
-            continue
         term = evaluate(operand, order)
         if op == "/":
             op, term = "*", term.inverse()
         value = term if value is None else _ARITH[op](value, term)
-    return constant(1, order) if value is None else value
+    return value
 
 
 @lru_cache(maxsize=8)

@@ -87,13 +87,20 @@ def _product(a, b, size: int) -> list:
     ints, and the low `size` slots of the result are read back with a bias
     of 2^(width-1) that turns each signed slot into a plain hex field.
     Base-16 conversion is linear in the length and has no digit limit.
+
+    A product by a constant, an operand whose coefficients past q^0 are
+    all zero (the zero series too), is a scale: the other operand times
+    that constant, padded to `size`, in O(size) and with no packing.
+    This is the one place that rule lives: power's start from 1, 2 / x
+    and a Miller pass on a base of 1 take it here.
     """
     a = a[:size]
     b = b[:size]
+    for x, y in ((a, b), (b, a)):
+        if not any(x[1:]):
+            return [x[0] * c for c in y] + [0] * (size - len(y))
     a_bits = max(map(abs, a)).bit_length()
     b_bits = max(map(abs, b)).bit_length()
-    if not a_bits or not b_bits:
-        return [0] * size
     # |product coefficient| < size * 2^(a_bits + b_bits); two bits more for
     # the sign and the unpacking bias, rounded up to whole hex digits
     digits = (a_bits + b_bits + size.bit_length() + 5) // 4
@@ -283,9 +290,11 @@ def _check_power_work(cs, k: int) -> None:
     when bits(k) * (N + 1) * B passes MAX_POWER_WORK, B bounding the bits
     of every coefficient of the result.  With S = sum |c_i| over i >= 1,
     B is the smaller of k log2(|c0| + S), since (|c0| + S)^k bounds every
-    coefficient, and k log2|c0| + N log2(max(1, kS/|c0|)) + log2(N + 1):
-    writing the series as c0 (1 + g), coefficient j of (1 + g)^k is at
-    most sum_{i <= j} C(k, i) (S/|c0|)^i.
+    coefficient, and k log2|c0| + m log2(max(1, kS/|c0|)) + log2(m + 1):
+    writing the series as c0 (1 + g), g^i starts at q^(iv), v the index of
+    g's first nonzero coefficient, so only the m = N // v factors i <= m
+    reach order N, and coefficient j of (1 + g)^k is at most
+    sum_{i <= m} C(k, i) (S/|c0|)^i.
     """
     c0 = abs(cs[0])
     s = sum(map(abs, cs[1:]))
@@ -295,8 +304,9 @@ def _check_power_work(cs, k: int) -> None:
     clamped = min(k, MAX_POWER_WORK)
     whole = clamped * math.log2(c0 + s)
     if s:
+        m = n // next(v for v in range(1, n + 1) if cs[v])
         spread = math.log2(k * s) - math.log2(c0)
-        whole = min(whole, clamped * math.log2(c0) + n * max(0.0, spread) + math.log2(n + 1))
+        whole = min(whole, clamped * math.log2(c0) + m * max(0.0, spread) + math.log2(m + 1))
     if k.bit_length() * (n + 1) * whole > MAX_POWER_WORK:
         raise ValueError(f"power too large: a {k.bit_length()}-bit exponent at order {n}")
 
@@ -458,13 +468,13 @@ def _alone(b: int, a: int) -> tuple:
 
     The cutoff is not where these prices break even, at 2/b + 3 sqrt(b)
     Euler passes (5 at b = 1).  The prices charge every Miller pass its
-    dense product, but _plan puts Miller passes first, and eta_quotient
-    takes no product for the first one on a base of 1.  So a quotient
-    with one large leftover, such as (q^5; q^5)^6, is one Miller pass
-    and no product, where the prices alone would plan six row passes at
-    stride 5.  A plan with several Miller passes pays each product, and
-    there the prices can choose better; one rule for both would need a
-    price that knows the base."""
+    dense product, but _plan puts Miller passes first, and on a base of
+    1 the first one's product is a scale by a constant (see _product),
+    O(N).  So a quotient with one large leftover, such as (q^5; q^5)^6,
+    is one Miller pass and no dense product, where the prices alone
+    would plan six row passes at stride 5.  A plan with several Miller
+    passes pays each later product, and there the prices can choose
+    better; one rule for both would need a price that knows the base."""
     if abs(a) > 3:
         return 2 * _EULER[2] / b**1.5 + 3 * _EULER[2], ((None, b, a),)
     return abs(a) * _EULER[2] / math.sqrt(b), ((_EULER[0], b, 1 if a > 0 else -1),) * abs(a)
@@ -510,8 +520,8 @@ def _plan(etas: tuple) -> tuple:
     part is planned on its own (_peel), which keeps planning time linear
     in the number of keys; whatever the rows leave goes to
     the Euler and Miller kernels (_alone).  Miller passes come
-    first, in a stable sort, so that on a base of 1 the first one is the
-    result and takes no product.
+    first, in a stable sort, so that on a base of 1 the first one's
+    product is a scale by a constant (see _product), not a dense one.
     """
     chains = {}
     for b, a in etas:
@@ -556,9 +566,10 @@ def eta_quotient(base: Series, etas: dict) -> Series:
     phi(+-q) and psi(q) are rows too.  What the rows leave goes to the
     kernels: a_b = +-1, +-2 or +-3 to Euler's pentagonal sum |a_b|
     times, and any larger |a_b| to a Miller pass, Miller's recurrence
-    at order N // b multiplied in once.  Miller passes come first, so
-    on a base of 1 the first one is the result.  No plan costs more than
-    those kernels alone, and none runs a loop |a_b| times past |a_b| = 3.
+    at order N // b multiplied in once by _product.  Miller passes come
+    first, so on a base of 1 the first one's product is a scale by a
+    constant, which _product does in O(N).  No plan costs more than those
+    kernels alone, and none runs a loop |a_b| times past |a_b| = 3.
     """
     for b, a in etas.items():
         if not isinstance(b, int):
@@ -574,7 +585,7 @@ def eta_quotient(base: Series, etas: dict) -> Series:
         if builder is None:
             power = [0] * (order + 1)
             power[:: b] = _eta_power(a, order // b)
-            c = power if c[0] == 1 and not any(c[1:]) else _product(c, power, order + 1)
+            c = _product(c, power, order + 1)
         else:
             k, plus, minus = builder(order // b)
             c = (_times if a > 0 else _divide)(c, k, [b * e for e in plus], [b * e for e in minus])

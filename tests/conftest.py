@@ -31,7 +31,7 @@ import random
 
 import pytest
 
-from podium import dsl, partitions
+from podium import dsl, partitions, series
 from podium.series import Series, constant, q_power
 from podium.theta import theta_series
 
@@ -202,6 +202,23 @@ def no_walk(monkeypatch):
         raise AssertionError(f"walked {fid.value} to {limit}")
 
     monkeypatch.setattr(partitions, "_enumeration_table", walk)
+
+
+@pytest.fixture
+def dense_products(monkeypatch):
+    """The sizes of the `series._product` calls whose two operands are both
+    non-constant, the Kronecker products; a product by a constant is a
+    scale and is not listed."""
+    sizes = []
+    product = series._product
+
+    def counted(a, b, size):
+        if any(a[1:size]) and any(b[1:size]):
+            sizes.append(size)
+        return product(a, b, size)
+
+    monkeypatch.setattr(series, "_product", counted)
+    return sizes
 
 
 def random_series(rng: random.Random, order: int) -> Series:

@@ -227,9 +227,11 @@ class TestLayerCalls:
         assert calls == ["pochhammer", "inverse"]
         assert got == reference_evaluate(parse(text), ORDER)
 
-    def test_below_the_cutoff_the_tree_is_walked(self, calls):
+    def test_below_the_cutoff_the_tree_is_walked(self, calls, dense_products):
+        # the walk scales the inverse by the constant 1: a mul, no dense product
         expand("1 / poch(q^1, q^1)", NEWTON_BASE - 1)
-        assert calls == ["pochhammer", "inverse"]
+        assert calls == ["pochhammer", "inverse", "mul"]
+        assert dense_products == []
 
 
 class TestMemo:
@@ -566,18 +568,15 @@ class TestPlanner:
         ({1: 1, 2: 10**6}, 0),  # planned as a row pass, psi(q), and a Miller pass
         ({5: 6}, 0),  # one Miller pass, where the prices alone plan six Euler passes
     ])
-    def test_miller_passes_come_first(self, monkeypatch, etas, products):
-        # on a base of 1 the first Miller pass is the result, so it takes
-        # no dense product; a row pass before it would force one
-        seen = []
-        product = series._product
-        monkeypatch.setattr(series, "_product", lambda *args: seen.append(args) or product(*args))
+    def test_miller_passes_come_first(self, dense_products, etas, products):
+        # on a base of 1 the first Miller pass is a product by a constant,
+        # a scale and no dense product; a row pass before it would force one
         series.eta_quotient(constant(1, 200), etas)
-        assert len(seen) == products
+        assert len(dense_products) == products
 
     def test_a_lone_leftover_past_3_is_one_miller_pass(self):
         # the prices alone would plan (q^5; q^5)^6 as six Euler passes at
-        # stride 5; one Miller pass on a base of 1 takes no product
+        # stride 5; one Miller pass on a base of 1 takes no dense product
         assert series._plan(((5, 6),)) == ((None, 5, 6),)
 
     def test_each_chain_is_planned_on_its_own(self, monkeypatch):

@@ -186,17 +186,21 @@ class TestPower:
         assert calls == []
 
     def test_just_under_the_ceiling_equals_repeated_multiplication(self):
-        # (1 + q^1000)^k at order 1000: B is k, far above its true 10 bits,
-        # so the ceiling falls at bits(k) * 1001 * k
-        a = Series([1] + [0] * 999 + [1])
+        # (1 + q)^k at order 1000: B is k, below the second bound's
+        # 1000 log2(k), so the ceiling falls at bits(k) * 1001 * k
+        a = Series([1, 1] + [0] * 999)
         k = MAX_POWER_WORK // (10 * 1001)
         assert k.bit_length() == 10
-        expected = a
-        for _ in range(k - 1):
-            expected = expected * a
-        assert a.power(k).coeffs == expected.coeffs == (1,) + (0,) * 999 + (k,)
+        expected = [1] + [0] * 1000
+        for _ in range(k):  # times 1 + q, by Pascal's rule
+            expected = [x + y for x, y in zip(expected, [0] + expected)]
+        assert a.power(k).coeffs == tuple(expected)
         with pytest.raises(ValueError, match="power too large"):
             a.power(k + 1)
+        # g = q^1000 reaches order 1000 once, so (1 + q^1000)^1000 is
+        # charged one factor of g, not 1000, and is not refused
+        sparse = Series([1] + [0] * 999 + [1])
+        assert sparse.power(1000).coeffs == (1,) + (0,) * 999 + (1000,)
 
 
 class TestSubstitute:
@@ -376,6 +380,22 @@ class TestKernelsMatchReferences:
             assert list(zero * a) == [0] * (n + 1)
             assert list(a * zero) == [0] * (n + 1)
             assert list(zero * zero) == [0] * (n + 1)
+
+    @pytest.mark.parametrize("c", [0, 1, -1, 7, -7])
+    def test_product_by_a_constant(self, c):
+        # a constant on either side, both sides constant, and an operand
+        # shorter than the size, as in Newton's step; the result is always
+        # `size` coefficients
+        rng = random.Random(c)
+        for n in EDGE_ORDERS:
+            size = n + 1
+            a = random_series(rng, n).coeffs
+            short = random_series(rng, rng.randint(0, n)).coeffs
+            k = (c,) + (0,) * n
+            for x, y in ((k, a), (a, k), (k, (-7,) + (0,) * n), (k, k),
+                         (k, short), (short, k), ((c,), a), (a, (c,))):
+                padded = [Series(cs + (0,) * (size - len(cs))) for cs in (x, y)]
+                assert series._product(x, y, size) == list(reference_product(*padded))
 
     def test_product_signs_and_sizes(self):
         # extremes of one sign, mixed signs, and lone large slots
