@@ -439,6 +439,47 @@ class TestRows:
         scaled = (k, [stride * e for e in plus], [stride * e for e in minus])
         assert series._divide(series._times(c, *scaled), *scaled) == c
 
+    @pytest.mark.parametrize("row", ROWS, ids=ROW_NAMES)
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    def test_times_on_a_sparse_base_is_the_schoolbook_product(self, monkeypatch, row, stride):
+        # the zero series, constants, every row seeded from 1, random bases
+        # on either side of the density cutoff, and terms near the end,
+        # which the truncation cuts off; each equals the schoolbook product
+        # by the row, takes the branch its density picks, and is undone by
+        # _divide
+        by_term = []
+        times_by_term = series._times_by_term
+        monkeypatch.setattr(series, "_times_by_term", lambda *args: by_term.append(1) or times_by_term(*args))
+        rng = random.Random(stride)
+        for size in (1, 2, 9, 301):
+            k, plus, minus = row[0]((size - 1) // stride)
+            scaled = (k, [stride * e for e in plus], [stride * e for e in minus])
+            multiplier = [1] + [0] * (size - 1)
+            for e in scaled[1]:
+                multiplier[e] += k
+            for e in scaled[2]:
+                multiplier[e] -= k
+            bases = [[x] + [0] * (size - 1) for x in (0, 1, -1, 7, -7)]
+            for seeded in ROWS:
+                for seed_stride in (1, 2, 4):
+                    kk, pp, mm = seeded[0]((size - 1) // seed_stride)
+                    bases.append(series._times(
+                        [1] + [0] * (size - 1), kk, [seed_stride * e for e in pp], [seed_stride * e for e in mm]))
+            below = (size - 1) // series.SPARSE_BASE
+            for terms in (below, below + 1):
+                base = [0] * size
+                for i in rng.sample(range(size), min(terms, size)):
+                    base[i] = rng.choice((-1, 1)) * rng.randint(1, 10**6)
+                bases.append(base)
+            bases.append([0] * (size - 3) + [5, -3, 2][-size:])
+            for base in bases:
+                by_term.clear()
+                got = series._times(base, *scaled)
+                assert got == list(reference_product(Series(base), Series(multiplier))), base
+                sparse = series.SPARSE_BASE * (size - base.count(0)) < size
+                assert by_term == [1] * sparse, base
+                assert series._divide(got, *scaled) == base, base
+
 
 def plan_vector(plan):
     """The vector a plan applies: each Miller pass's (b, a_b) and each row
@@ -463,6 +504,8 @@ def plan_cost(plan):
 # The pass sequence of every vector the bundled sides expand at order 300,
 # 27 whole sides and 8 mixed products of which 4 are also whole, with the
 # rows named as in ROW_NAMES; a Miller pass would read (None, b, a_b).
+# Each lists its Miller passes, then its row multiplies, then its row
+# divides; the test checks the passes apart from their order first.
 # The greedy planner misses a cheaper plan for two of them, {1: 1, 4: -1}
 # (2.45 cost units against 2.12) and {1: -1, 2: -1} (2.79 against 2.12);
 # a better planner moves these pins.
@@ -472,12 +515,12 @@ BUNDLED_PLANS = {
     ((1, -2), (2, 1)): (("phi(-q)", 1, -1),),
     ((1, -2), (2, 1), (4, -1)): (("phi(-q)", 1, -1), ("euler", 4, -1)),
     ((1, -2), (2, 2), (4, -2)): (("phi(-q)", 1, -1), ("psi(q)", 2, -1)),
-    ((1, -2), (2, 3), (4, -1)): (("phi(-q)", 1, -1), ("phi(-q)", 2, 1)),
+    ((1, -2), (2, 3), (4, -1)): (("phi(-q)", 2, 1), ("phi(-q)", 1, -1)),
     ((1, -2), (2, 5), (4, -2)): (("phi(q)", 1, 1),),
     ((1, -1),): (("euler", 1, -1),),
     ((1, -1), (2, -1)): (("euler", 1, -1), ("euler", 2, -1)),
     ((1, -1), (2, -1), (4, 2)): (("psi(q)", 2, 1), ("euler", 1, -1)),
-    ((1, -1), (2, 1), (3, 2), (6, -1)): (("psi(-q)", 1, -1), ("euler", 4, 1), ("phi(-q)", 3, 1)),
+    ((1, -1), (2, 1), (3, 2), (6, -1)): (("euler", 4, 1), ("phi(-q)", 3, 1), ("psi(-q)", 1, -1)),
     ((1, -1), (2, 1), (4, -1)): (("psi(-q)", 1, -1),),
     ((1, -1), (2, 2)): (("psi(q)", 1, 1),),
     ((1, -1), (2, 2), (4, -1)): (("psi(q)", 1, 1), ("euler", 4, -1)),
@@ -492,13 +535,26 @@ BUNDLED_PLANS = {
     ((1, 3),): (("phi(-q)", 1, 1), ("euler", 1, 1), ("euler", 2, 1)),
     ((1, 5), (2, -2)): (("phi(-q)", 1, 1), ("phi(-q)", 1, 1), ("euler", 1, 1)),
     ((2, -3),): (("phi(-q)", 2, -1), ("euler", 2, -1), ("euler", 4, -1)),
-    ((2, -2), (4, 3)): (("phi(-q)", 2, -1), ("phi(-q)", 4, 1), ("euler", 8, 1)),
+    ((2, -2), (4, 3)): (("phi(-q)", 4, 1), ("euler", 8, 1), ("phi(-q)", 2, -1)),
     ((2, -1),): (("euler", 2, -1),),
     ((2, -1), (4, -1)): (("euler", 2, -1), ("euler", 4, -1)),
     ((2, 1),): (("euler", 2, 1),),
     ((4, -1),): (("euler", 4, -1),),
     ((4, 1),): (("euler", 4, 1),),
 }
+
+
+def seeded_vectors():
+    """Planner inputs, as sorted nonzero (b, a_b) pairs: whole windows of
+    three strides, which cover every chain of strides in
+    {1, 2, 3, 4, 6, 8, 12} but (1, 2, 4, 8), and seeded vectors over all
+    seven strides for the rest."""
+    vectors = [dict(zip(window, exponents))
+               for window in ((1, 2, 4), (2, 4, 8), (3, 6, 12))
+               for exponents in itertools.product(range(-7, 8), repeat=3)]
+    rng = random.Random(0)
+    vectors += [{b: rng.randint(-7, 7) for b in (1, 2, 3, 4, 6, 8, 12)} for _ in range(1000)]
+    return [tuple(sorted((b, a) for b, a in vector.items() if a)) for vector in vectors]
 
 
 class TestPlanner:
@@ -516,22 +572,12 @@ class TestPlanner:
 
     def test_no_plan_costs_more_than_the_kernels_alone(self):
         # Every row spans b, 2b and 4b at most, so the planner plans each
-        # chain of one odd part on its own: whole windows of three strides
-        # cover every chain of strides in {1, 2, 3, 4, 6, 8, 12} but
-        # (1, 2, 4, 8), and seeded vectors over all seven strides the rest.
-        def check(vector):
-            key = tuple(sorted((b, a) for b, a in vector.items() if a))
+        # chain of one odd part on its own (see seeded_vectors)
+        for key in seeded_vectors():
             plan = series._plan(key)
             assert plan_vector(plan) == dict(key), key
             kernels = sum(series._alone(b, a)[0] for b, a in key)
             assert plan_cost(plan) <= kernels + 1e-9, key
-
-        for window in ((1, 2, 4), (2, 4, 8), (3, 6, 12)):
-            for exponents in itertools.product(range(-7, 8), repeat=3):
-                check(dict(zip(window, exponents)))
-        rng = random.Random(0)
-        for _ in range(1000):
-            check({b: rng.randint(-7, 7) for b in (1, 2, 3, 4, 6, 8, 12)})
 
     @pytest.mark.parametrize("vector, passes", [
         ({1: -1, 2: 1, 4: -1}, 1),   # pod: 1 / psi(-q)
@@ -560,7 +606,43 @@ class TestPlanner:
         names[None] = None
         for vector, passes in BUNDLED_PLANS.items():
             planned = tuple((names[builder], b, a) for builder, b, a in series._plan(vector))
+            # the same passes, then the same order
+            assert sorted(planned, key=repr) == sorted(passes, key=repr), vector
             assert planned == passes, vector
+
+    def test_miller_passes_then_multiplies_then_divides(self):
+        # on a base of 1 the first multiply is then the row itself, term by
+        # term; a divide first would have made the base dense
+        def kind(p):
+            return 0 if p[0] is None else 1 if p[2] > 0 else 2
+
+        for vector in list(BUNDLED_PLANS) + seeded_vectors():
+            kinds = [kind(p) for p in series._plan(vector)]
+            assert kinds == sorted(kinds), vector
+
+    def test_a_constant_base_is_multiplied_term_by_term(self, monkeypatch):
+        # each _times call of the bundled suite at order 1000 on a base with
+        # at most one nonzero coefficient takes the term-by-term branch
+        calls = []
+        times, times_by_term = series._times, series._times_by_term
+
+        def counted(c, *row):
+            calls.append([len(c) - c.count(0), False])
+            return times(c, *row)
+
+        def by_term(c, *row):
+            calls[-1][1] = True
+            return times_by_term(c, *row)
+
+        monkeypatch.setattr(series, "_times", counted)
+        monkeypatch.setattr(series, "_times_by_term", by_term)
+        dsl._eta_expansion.cache_clear()
+        for rec in bundled_manifest():
+            for text in (rec.lhs, rec.rhs):
+                evaluate(parse(text), 1000)
+        dsl._eta_expansion.cache_clear()
+        constant_bases = [by_term for terms, by_term in calls if terms <= 1]
+        assert constant_bases and all(constant_bases)
 
     @pytest.mark.parametrize("etas, products", [
         ({1: 10**6}, 0),
