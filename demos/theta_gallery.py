@@ -2,17 +2,10 @@
 
 Builds the classical specializations, confirms a few of the product
 identities behind them, and shows how to assemble a custom sum from a
-weight, an exponent, and a domain.
+weight, an exponent, and a domain, written as identity-language text.
 """
 
-from podium import (
-    Domain,
-    QuadExp,
-    ceil_half,
-    named_theta,
-    pochhammer,
-    theta_series,
-)
+from podium import expand, named_theta, pochhammer
 
 N = 24
 
@@ -41,19 +34,14 @@ print("\npentagonal and cube expansions match their Pochhammer products.")
 # A two-sided sum can be folded onto the non-negative integers: the
 # hexagonal-exponent sum re-indexes over triangular numbers with
 # ceiling-of-half signs.
-two_sided = theta_series(
-    Domain.ALL_INTEGERS, lambda n: -1 if n % 2 else 1, QuadExp(2, 1), 100
-)
-folded = theta_series(
-    Domain.NON_NEGATIVE, lambda n: -1 if ceil_half(n) % 2 else 1, QuadExp(1, 1, 0, 2), 100
-)
+two_sided = expand("theta{n in Z}((-1)^(n); 2*n*n + n)", 100)
+folded = expand("theta{n in N}((-1)^(ceil2(n)); (n*(n+1)) div 2)", 100)
 assert two_sided == folded
 print("two-sided hexagonal sum equals its triangular reindexing.")
 
-# Custom sums take any integer-valued quadratic; the divisibility of the
-# rational form is checked up front.  Weights are plain callables.
-squares_weighted = theta_series(
-    Domain.NON_NEGATIVE, lambda n: 2 * n + 1, QuadExp(1, 0), 30
-)
+# Custom sums take any integer-valued quadratic in the summation
+# variable; `div` divides exactly, and an exponent that falls without
+# bound is an evaluation error.  Weights are integer expressions too.
+squares_weighted = expand("theta{n in N}(2*n + 1; n*n)", 30)
 print("\ncustom sum  sum (2n+1) q^(n^2)  to order 30:")
 print(" ", list(squares_weighted))

@@ -6,7 +6,8 @@ integers, with no rounding anywhere.  It provides:
 - :mod:`podium.series`: the exact series ring (Kronecker-substitution
   products, Newton inverses, substitutions, Pochhammer products and the
   sparse eta-quotient kernels);
-- :mod:`podium.theta`: the evaluator of theta-type sums;
+- :mod:`podium.theta`: the evaluator behind every theta{...} sum, which
+  is written as identity text;
 - :mod:`podium.dsl`: a small expression language so identities are data,
   and the one path from text to a series; it owns the names of the
   sixteen partition-counting functions, their product forms and the
@@ -19,15 +20,7 @@ integers, with no rounding anywhere.  It provides:
 """
 
 from .series import Mismatch, Series, constant, equal_upto, pochhammer, q_power
-from .theta import (
-    Domain,
-    DivergenceError,
-    QuadExp,
-    ceil_half,
-    gpent,
-    theta_series,
-    triangular,
-)
+from .theta import Domain, DivergenceError
 from .partitions import (
     DEFAULT_CAPS,
     HARD_CAPS,
@@ -65,12 +58,10 @@ __all__ = [
     "ManifestError",
     "Mismatch",
     "ParseError",
-    "QuadExp",
     "Series",
     "SuiteEntry",
     "SuiteReport",
     "bundled_manifest",
-    "ceil_half",
     "check",
     "constant",
     "count_by_enumeration",
@@ -78,7 +69,6 @@ __all__ = [
     "evaluate",
     "expand",
     "gf_series",
-    "gpent",
     "load_manifest",
     "named_theta",
     "parse",
@@ -89,6 +79,4 @@ __all__ = [
     "run_oracle_suite",
     "run_suite",
     "table",
-    "theta_series",
-    "triangular",
 ]

@@ -39,8 +39,7 @@ from typing import Optional
 
 from . import dsl
 from ._value import Value
-# PRODUCT_FORMS is not used here; podium.partitions.PRODUCT_FORMS stays importable
-from .dsl import PRODUCT_FORMS, FunctionId  # noqa: F401
+from .dsl import FunctionId
 # pochhammer is not called here, but benchmark/test_benchmark.py checks this binding
 from .series import Series, pochhammer  # noqa: F401
 

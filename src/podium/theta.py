@@ -10,16 +10,12 @@ class, and aborts if none comes within 10^6 steps.
 
 The classical specializations (phi, psi, ...) are identity-language text
 in :data:`podium.dsl.NAMED_THETA`.
-
-Also home to the triangular and generalized pentagonal number helpers,
-kept as public utilities; the sums themselves write their exponents as
-text and call neither.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Union
+from typing import Callable
 
 from ._value import Value
 from .series import Series
@@ -29,29 +25,6 @@ _SCAN_LIMIT = 10**6
 
 class DivergenceError(ValueError):
     """The exponent failed to grow past the truncation order."""
-
-
-def triangular(k: int) -> int:
-    """k-th triangular number k(k+1)/2."""
-    if k < 0:
-        raise ValueError(f"triangular index must be >= 0, got {k}")
-    return k * (k + 1) // 2
-
-
-def gpent(k: int) -> int:
-    """k-th generalized pentagonal number ceil(k/2) * ceil((3k+1)/2) / 2.
-
-    Enumerates the sorted non-negative values of j(3j+1)/2 over integer j:
-    0, 1, 2, 5, 7, 12, 15, ...
-    """
-    if k < 0:
-        raise ValueError(f"pentagonal index must be >= 0, got {k}")
-    return ((k + 1) // 2) * ((3 * k + 2) // 2) // 2
-
-
-def ceil_half(n: int) -> int:
-    """Mathematical ceiling of n/2, total over all integers."""
-    return -((-n) // 2)
 
 
 class Domain(enum.Enum):
@@ -89,9 +62,6 @@ class QuadExp(Value):
         return (self.a * n * n + self.b * n + self.c) // self.d
 
 
-ExponentFn = Union[QuadExp, Callable[[int], int]]
-
-
 def _accumulate(coeffs, weight, exponent, order, start, step):
     """Add w(n) into coeffs[e(n)] for n = start, start + step, ...
 
@@ -121,7 +91,7 @@ def _accumulate(coeffs, weight, exponent, order, start, step):
 
 
 def theta_series(
-    domain: Domain, weight: Callable[[int], int], exponent: ExponentFn, order: int
+    domain: Domain, weight: Callable[[int], int], exponent: Callable[[int], int], order: int
 ) -> Series:
     """Build sum_{n in domain} w(n) q^{e(n)} truncated at `order`.
 

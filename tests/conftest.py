@@ -76,7 +76,7 @@ def reference_evaluate(node, order: int) -> Series:
     if isinstance(node, dsl.Poch):
         return reference_pochhammer(node.sign, node.a, node.b, order)
     if isinstance(node, dsl.GfRef):
-        return reference_evaluate(dsl.parse(partitions.PRODUCT_FORMS[node.fid]), order)
+        return reference_evaluate(dsl.parse(dsl.PRODUCT_FORMS[node.fid]), order)
     if isinstance(node, dsl.Subst):
         return reference_evaluate(node.child, order).substitute(node.k, node.sign)
     if isinstance(node, dsl.Chain):

@@ -7,11 +7,10 @@ lines as they pass.
 import time
 
 from podium.cli import main
-from podium.dsl import ParseError, parse, pretty
+from podium.dsl import ParseError, named_theta, parse, pretty
 from podium.manifest import bundled_manifest, run_oracle_suite, run_suite
 from podium.partitions import FunctionId, count_by_enumeration, gf_series
 from podium.series import constant, pochhammer
-from podium.theta import Domain, QuadExp, theta_series
 
 from conftest import run_algebra_trials
 
@@ -99,10 +98,7 @@ def test_criterion_5_mod2_relations():
         == gf_series(FunctionId.QODD3, n).reduce_mod(2),
         "pod self-convolution = dilated three-colored": (pod * pod).reduce_mod(2)
         == gf_series(FunctionId.P3, n).substitute(2).reduce_mod(2),
-        "unsigned triangular recurrence": (
-            pod
-            * theta_series(Domain.NON_NEGATIVE, lambda k: 1, QuadExp(1, 1, 0, 2), n)
-        ).reduce_mod(2)
+        "unsigned triangular recurrence": (pod * named_theta("psi", n)).reduce_mod(2)
         == constant(1, n),
     }
     failed = [name for name, ok in checks.items() if not ok]

@@ -1,4 +1,5 @@
-"""Every narrative script in demos/ runs to completion against the sources."""
+"""Every narrative script in demos/ runs to completion against the sources,
+with warnings as errors."""
 
 import os
 import subprocess
@@ -19,7 +20,7 @@ def test_demos_are_found():
 def test_demo_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error", str(script)],
         env=env,
         capture_output=True,
         text=True,

@@ -33,9 +33,13 @@ from podium.dsl import (
 from podium.manifest import ManifestError, parse_manifest
 from podium.partitions import FunctionId
 from podium.series import Mismatch, Series, constant, pochhammer
-from podium.theta import DivergenceError, Domain, ceil_half
+from podium.theta import DivergenceError, Domain
 
 from conftest import reference_evaluate, reference_tokenize
+
+
+def ceil_half(n):
+    return -((-n) // 2)
 
 
 class TestParse:

@@ -4,15 +4,7 @@ import pytest
 
 from podium.dsl import named_theta
 from podium.series import constant, pochhammer
-from podium.theta import (
-    DivergenceError,
-    Domain,
-    QuadExp,
-    ceil_half,
-    gpent,
-    theta_series,
-    triangular,
-)
+from podium.theta import DivergenceError, Domain, QuadExp, theta_series
 
 
 def one(n):
@@ -23,57 +15,16 @@ def alt(n):
     return -1 if n % 2 else 1
 
 
+def ceil_half(n):
+    return -((-n) // 2)
+
+
+def triangular(k):
+    return k * (k + 1) // 2
+
+
 def alt_ceil_half(n):
     return -1 if ceil_half(n) % 2 else 1
-
-
-
-def pentagonal_values(limit):
-    # independent enumeration of {j(3j+1)/2 : j in Z} below limit
-    values = set()
-    j = 0
-    while j * (3 * j + 1) // 2 <= limit:
-        values.add(j * (3 * j + 1) // 2)
-        j += 1
-    j = -1
-    while j * (3 * j + 1) // 2 <= limit:
-        values.add(j * (3 * j + 1) // 2)
-        j -= 1
-    return sorted(v for v in values if 0 <= v <= limit)
-
-
-class TestIndexHelpers:
-    @pytest.mark.parametrize("k,value", [(0, 0), (4, 10), (7, 28)])
-    def test_triangular(self, k, value):
-        assert triangular(k) == value
-
-    def test_gpent_initial(self):
-        assert [gpent(k) for k in range(7)] == [0, 1, 2, 5, 7, 12, 15]
-
-    def test_gpent_matches_two_sided_pentagonal_set(self):
-        limit = 1000
-        expected = pentagonal_values(limit)
-        got = []
-        k = 0
-        while gpent(k) <= limit:
-            got.append(gpent(k))
-            k += 1
-        assert got == expected
-
-    def test_gpent_even_odd_gap(self):
-        assert all(gpent(2 * m) - gpent(2 * m - 1) == m for m in range(1, 51))
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            triangular(-1)
-        with pytest.raises(ValueError):
-            gpent(-2)
-
-    def test_ceil_half_is_mathematical(self):
-        assert ceil_half(3) == 2
-        assert ceil_half(-3) == -1
-        assert ceil_half(0) == 0
-        assert all(ceil_half(2 * m) == m for m in range(-5, 6))
 
 
 class TestQuadExp:
