@@ -9,7 +9,7 @@ same class with equal fields, hashed by their fields, printed as
 or a pickle rebuilds an instance from its fields through the class's
 own constructor, so a subclass that checks its fields in ``__init__``
 (``QuadExp``, ``Series``) checks the copy too.  ``Series`` also keeps
-its own prefix equality, under which it cannot be hashed, and repr.
+its own repr.
 
 Building such a class compiles nothing, so importing podium stays cheap
 and loads neither ``inspect`` nor the modules it pulls in.  The helpers

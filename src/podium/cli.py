@@ -117,6 +117,8 @@ def _emit_report(report, out_path: Optional[str]) -> int:
 
 def cmd_verify(args) -> int:
     records = bundled_manifest() if args.manifest is None else load_manifest(args.manifest)
+    if not records:
+        raise ValueError(f"{args.manifest}: no [identity] record to check")
     if args.id is not None:
         records = [r for r in records if r.id == args.id]
         if not records:

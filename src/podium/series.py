@@ -136,11 +136,10 @@ def _product(a, b, size: int) -> list:
 class Series(Value):
     """Integer power series in q, truncated at a fixed order (inclusive).
 
-    A value of the base: it refuses assignment and deletion, and copies
-    and pickles as its coefficients.  It checks them when it is built.
-    Equality compares coefficientwise up to the smaller of the two orders,
-    so a series agrees with any of its own truncations, and so a series
-    is not hashable.
+    A value of the base: it refuses assignment and deletion, copies and
+    pickles as its coefficients, and equals and hashes by them, so two
+    series are equal only at the same order.  It checks them when it is
+    built.  To compare up to an order, use equal_upto, or truncate both.
     """
 
     __slots__ = ("coeffs",)
@@ -176,14 +175,6 @@ class Series(Value):
         head = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if len(self.coeffs) > 8 else ""
         return f"Series([{head}{tail}], order={self.order})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Series):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
-
-    __hash__ = None  # prefix equality is not hash-compatible
 
     def truncate(self, order: int) -> Series:
         """Drop coefficients above `order` (which must not exceed self.order)."""

@@ -90,6 +90,15 @@ class TestVerify:
         assert out == ""
         assert err == f"podium: {bad}:3: manifest must be 7-bit printable\n"
 
+    @pytest.mark.parametrize("text", ["", "# comments only\n\n# [identity]\n"])
+    def test_manifest_with_no_record_exits_2(self, capsys, tmp_path, text):
+        empty = tmp_path / "empty.txt"
+        empty.write_text(text)
+        code, out, err = run(capsys, "verify", "--manifest", str(empty))
+        assert code == 2
+        assert out == ""
+        assert err == f"podium: {empty}: no [identity] record to check\n"
+
     def test_missing_manifest_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--manifest", str(tmp_path / "none.txt"))
         assert code == 2

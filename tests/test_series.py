@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from podium import series
+from podium.dsl import expand, named_theta
 from podium.series import (
     MAX_POWER_WORK,
     NEWTON_BASE,
@@ -156,7 +159,7 @@ class TestPower:
             expected = constant(1, a.order)
             for _ in range(k):
                 expected = expected * a
-            assert a.power(k).coeffs == expected.coeffs
+            assert a.power(k) == expected
 
     def test_negative_power_of_non_unit(self):
         with pytest.raises(ValueError):
@@ -166,7 +169,7 @@ class TestPower:
         a = Series([0, 0, 3, -1, 0, 2, 0, 0, 0, 0, 0, 0, 0])
         expected = constant(1, a.order)
         for k in range(8):
-            assert a.power(k).coeffs == expected.coeffs
+            assert a.power(k) == expected
             expected = expected * a
         assert Series([0, 0, 1, 1]).power(2) == Series([0, 0, 0, 0])
         assert q_power(1, 0).power(10**60) == Series([0])
@@ -315,9 +318,27 @@ class TestQPower:
         assert q_power(9, 4) == constant(0, 4)
 
 
-def test_equality_is_prefix_based():
-    assert Series([1, 2, 3]) == Series([1, 2])
+def test_equality_is_exact():
+    assert Series([1, 2, 3]) != Series([1, 2])
     assert Series([1, 2, 3]) != Series([1, 3])
+    assert equal_upto(Series([1, 2, 3]), Series([1, 2]), 1) is None
+    # pod(4) = 3 and Q(4) = 2: agreeing to the lower order is no equality
+    assert expand("gf(pod)", 3) != expand("gf(qdist)", 1000)
+    assert Series([1]) != named_theta("phi", 1000)
+
+
+_COEFFS = st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COEFFS, _COEFFS)
+def test_equality_is_equal_coefficients_and_equal_upto_is_a_common_prefix(x, y):
+    a, b = Series(x), Series(y)
+    assert (a == b) == (x == y) and (a != b) == (x != y)
+    if a == b:
+        assert hash(a) == hash(b)
+    for n in range(min(len(x), len(y))):
+        assert (equal_upto(a, b, n) is None) == (x[: n + 1] == y[: n + 1])
 
 
 def test_repr_and_a_non_series_operand():
