@@ -8,8 +8,9 @@ same class with equal fields, hashed by their fields, printed as
 ``Name(field=value, ...)``, and refuse assignment and deletion.  A copy
 or a pickle rebuilds an instance from its fields through the class's
 own constructor, so a subclass that checks its fields in ``__init__``
-(``QuadExp``, ``Series``) checks the copy too.  ``Series`` also keeps
-its own repr.
+(``QuadExp``, ``Series``) checks the copy too.  ``Series`` and
+``Mismatch`` keep their own reprs, which print an int that ``str``
+refuses (one past the digit limit) by its size.
 
 Building such a class compiles nothing, so importing podium stays cheap
 and loads neither ``inspect`` nor the modules it pulls in.  The helpers

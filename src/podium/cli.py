@@ -5,8 +5,8 @@ output (or --out PATH), diagnostics to standard error.  Exit codes are a
 stable contract for CI: 0 success or all-pass, 1 verification failure,
 2 usage or parse error, an order past MAX_ORDER, an unreadable manifest
 or an unwritable output path.  Only `main` turns an error into exit 2,
-with one "podium: ..." line on standard error.  PODIUM_ORDER sets the
-default truncation order; an explicit --order flag wins.
+with one "podium: ..." line on standard error.  With no --order,
+verify, expand and bench use order FALLBACK_ORDER (300).
 """
 
 from __future__ import annotations
@@ -51,29 +51,12 @@ def nonneg_int(text: str) -> int:
     return value
 
 
-def bounded_order(value: int, name: str) -> int:
-    """`value` if it is at most MAX_ORDER; past it, a ValueError."""
+def order_int(text: str) -> int:
+    """A non-negative integer at most MAX_ORDER: an --order, or compute's nmax."""
+    value = nonneg_int(text)
     if value > MAX_ORDER:
-        raise ValueError(f"{name}={value}: must be <= {MAX_ORDER}")
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_ORDER}")
     return value
-
-
-def resolve_order(flag: Optional[int]) -> int:
-    """The --order flag, else PODIUM_ORDER, else FALLBACK_ORDER.
-
-    A PODIUM_ORDER that is not a non-negative integer, and either value
-    past MAX_ORDER, is a usage error (ValueError).
-    """
-    if flag is not None:
-        return bounded_order(flag, "--order")
-    env = os.environ.get("PODIUM_ORDER")
-    if env is None:
-        return FALLBACK_ORDER
-    try:
-        value = nonneg_int(env)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"PODIUM_ORDER={env!r}: {exc}") from None
-    return bounded_order(value, "PODIUM_ORDER")
 
 
 def _emit(text: str, out_path: Optional[str]):
@@ -103,7 +86,7 @@ def _format_values(name: str, values, fmt: str) -> str:
 
 def cmd_compute(args) -> int:
     fid = FunctionId.from_name(args.function)
-    values = table(fid, bounded_order(args.nmax, "NMAX"))
+    values = table(fid, args.nmax)
     _emit(_format_values(fid.value, values, args.format), args.out)
     return 0
 
@@ -123,11 +106,11 @@ def cmd_verify(args) -> int:
         records = [r for r in records if r.id == args.id]
         if not records:
             raise ValueError(f"no identity with id {args.id!r}")
-    return _emit_report(run_suite(records, order=resolve_order(args.order)), args.out)
+    return _emit_report(run_suite(records, order=args.order), args.out)
 
 
 def cmd_expand(args) -> int:
-    series = evaluate(parse(args.expression), resolve_order(args.order))
+    series = evaluate(parse(args.expression), args.order)
     # str() of a coefficient past the int-to-string digit limit raises ValueError
     _emit(" ".join(str(c) for c in series) + "\n", args.out)
     return 0
@@ -177,8 +160,8 @@ def _bench_run(order: int) -> dict:
     }
 
 
-def cmd_bench(args) -> int:
-    orders = [resolve_order(order) for order in args.order or [None]]
+def _bench_document(orders) -> dict:
+    """Run and print each order in turn; the runs and the host, as JSON."""
     # Load the bundled manifest before any timed run, so that its parse is
     # not charged to the first order's verify_ms.
     _, manifest_ms = _timed_ms(bundled_manifest)
@@ -192,16 +175,23 @@ def cmd_bench(args) -> int:
             if key != "record_seconds"
         ]
         sys.stdout.write("\n".join(lines) + "\n")
-    if args.json is not None:
-        document = {
-            "python_version": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-            "manifest_ms": manifest_ms,
-            "runs": runs,
-        }
-        with open(args.json, "w", encoding="ascii") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
+    return {
+        "python_version": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "manifest_ms": manifest_ms,
+        "runs": runs,
+    }
+
+
+def cmd_bench(args) -> int:
+    if args.json is None:
+        _bench_document(args.order)
+        return 0
+    # Open the JSON path before the first run, so that an unwritable one
+    # fails at once rather than after every order has run.
+    with open(args.json, "w", encoding="ascii") as handle:
+        json.dump(_bench_document(args.order), handle, indent=2)
+        handle.write("\n")
     return 0
 
 
@@ -222,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="print a table of one counting function")
     p.add_argument("function", choices=names, metavar="FUNCTION",
                    help="one of: " + ", ".join(names))
-    p.add_argument("nmax", type=nonneg_int, help="largest index to print")
+    p.add_argument("nmax", type=order_int, help="largest index to print")
     p.add_argument("--format", choices=("table", "csv", "bfile"), default="table")
     p.add_argument("--out", metavar="PATH", default=None)
     p.set_defaults(func=cmd_compute)
@@ -230,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check the identity manifest")
     p.add_argument("--manifest", metavar="PATH", default=None,
                    help="external manifest file (defaults to the bundled one)")
-    p.add_argument("--order", type=nonneg_int, default=None,
+    p.add_argument("--order", type=order_int, default=FALLBACK_ORDER,
                    help="raise every record to at least this order")
     p.add_argument("--id", metavar="SLUG", default=None, help="check a single record")
     p.add_argument("--out", metavar="PATH", default=None)
@@ -238,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="evaluate an expression to coefficients")
     p.add_argument("expression")
-    p.add_argument("--order", type=nonneg_int, default=None)
+    p.add_argument("--order", type=order_int, default=FALLBACK_ORDER)
     p.add_argument("--out", metavar="PATH", default=None)
     p.set_defaults(func=cmd_expand)
 
@@ -251,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bench", help="time the heavy paths and print checksums")
-    p.add_argument("--order", type=nonneg_int, nargs="+", default=None,
+    p.add_argument("--order", type=order_int, nargs="+", default=[FALLBACK_ORDER],
                    help="one or more orders, each run in turn")
     p.add_argument("--json", metavar="PATH", default=None,
                    help="also write the timings, per-record seconds and checksums as JSON")

@@ -22,7 +22,7 @@ from .partitions import DEFAULT_CAPS, count_by_enumeration, gf_series
 
 
 # The largest truncation order accepted from outside: a manifest's
-# order=, and the command line's --order, NMAX and PODIUM_ORDER.  The
+# order=, and the command line's --order and compute's nmax.  The
 # bundled records use at most 300; gf(pod) checked against its product
 # form takes about 15 s and 60 MB at this order (whole process, 2-core
 # host, CPython 3.11), so a larger request is refused before any work.
@@ -166,15 +166,11 @@ def bundled_manifest() -> Tuple[IdentityRecord, ...]:
 # suite running
 # ----------------------------------------------------------------------
 
-class Status:
-    PASS = "pass"
-    MISMATCH = "mismatch"
-    ERROR = "error"
-
-
 class SuiteEntry(Value):
     """Outcome of one checked identity or one oracle comparison.
 
+    `status` is "pass", "mismatch" (the sides differ; `detail` says
+    where) or "error" (the check raised; `detail` is its message).
     `seconds` is the check's own wall time.  Sides that share an eta
     quotient share its memoized expansion (see dsl.evaluate): the record
     that expands it is charged, and a later one that finds it is not.
@@ -185,7 +181,7 @@ class SuiteEntry(Value):
 
     @property
     def passed(self) -> bool:
-        return self.status == Status.PASS
+        return self.status == "pass"
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -237,9 +233,9 @@ def _timed(name: str, order: int, anchor: str, check, *args) -> SuiteEntry:
     try:
         mismatch = check(*args)
     except ValueError as exc:
-        status, detail = Status.ERROR, str(exc)
+        status, detail = "error", str(exc)
     else:
-        status = Status.PASS if mismatch is None else Status.MISMATCH
+        status = "pass" if mismatch is None else "mismatch"
         detail = "" if mismatch is None else str(mismatch)
     return SuiteEntry(name, status, order, time.perf_counter() - started, detail, anchor)
 

@@ -53,13 +53,25 @@ from typing import Iterable, Iterator, Optional
 from ._value import Value
 
 
+def _int_text(value: int) -> str:
+    """str(value), or its size when str refuses an int past the digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<{value.bit_length()}-bit integer>"
+
+
 class Mismatch(Value):
     """First index at which two series disagree, with both values."""
 
     __slots__ = ("index", "left", "right")
 
     def __str__(self) -> str:
-        return f"coefficient {self.index}: {self.left} != {self.right}"
+        return f"coefficient {self.index}: {_int_text(self.left)} != {_int_text(self.right)}"
+
+    def __repr__(self) -> str:
+        left, right = _int_text(self.left), _int_text(self.right)
+        return f"Mismatch(index={self.index}, left={left}, right={right})"
 
 
 # Series.inverse runs the O(N^2) recurrence up to this many coefficients
@@ -172,7 +184,7 @@ class Series(Value):
         return len(self.coeffs)
 
     def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[:8])
+        head = ", ".join(_int_text(c) for c in self.coeffs[:8])
         tail = ", ..." if len(self.coeffs) > 8 else ""
         return f"Series([{head}{tail}], order={self.order})"
 

@@ -348,6 +348,14 @@ def test_repr_and_a_non_series_operand():
     assert Series([1]) != 1
 
 
+def test_an_int_past_the_digit_limit_prints_by_its_size():
+    big = expand("2^20000", 0)
+    assert repr(big) == "Series([<20001-bit integer>], order=0)"
+    mismatch = equal_upto(big, big + Series([1]), 0)
+    assert str(mismatch) == "coefficient 0: <20001-bit integer> != <20001-bit integer>"
+    assert repr(mismatch) == "Mismatch(index=0, left=<20001-bit integer>, right=<20001-bit integer>)"
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: Series([1, 2]).truncate(2), IndexError, r"truncation order 2 outside 0\.\.1"),
     (lambda: Series([1, 2]).truncate(-1), IndexError, r"truncation order -1 outside 0\.\.1"),
