@@ -7,8 +7,8 @@ are built positionally or by keyword, equal only to an instance of the
 same class with equal fields, hashed by their fields, printed as
 ``Name(field=value, ...)``, and refuse assignment and deletion.  A copy
 or a pickle rebuilds an instance from its fields through the class's
-own constructor, so a subclass that checks its fields in ``__init__``
-(``QuadExp``, ``Series``) checks the copy too.  ``Series`` and
+own constructor, so ``Series``, the one type that checks its fields in
+``__init__``, checks the copy too.  ``Series`` and
 ``Mismatch`` keep their own reprs, which print an int that ``str``
 refuses (one past the digit limit) by its size.
 

@@ -111,8 +111,13 @@ def cmd_verify(args) -> int:
 
 def cmd_expand(args) -> int:
     series = evaluate(parse(args.expression), args.order)
-    # str() of a coefficient past the int-to-string digit limit raises ValueError
-    _emit(" ".join(str(c) for c in series) + "\n", args.out)
+    texts = []
+    for n, c in enumerate(series):
+        try:
+            texts.append(str(c))
+        except ValueError:  # past the interpreter's int-to-string digit limit
+            raise ValueError(f"coefficient {n} has {c.bit_length()} bits, too many to print") from None
+    _emit(" ".join(texts) + "\n", args.out)
     return 0
 
 

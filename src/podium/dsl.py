@@ -4,9 +4,9 @@ Grammar (whitespace-insensitive)::
 
     expr   := term (("+"|"-") term)*
     term   := factor (("*"|"/") factor)*
-    factor := base ("^" sint)?
+    factor := "-" factor | base ("^" sint)?
     base   := INT | "q" "^" UINT | poch | theta | gfref | subst
-            | "(" expr ")" | "-" base
+            | "(" expr ")"
     poch   := "poch" "(" ("-")? "q" "^" UINT "," "q" "^" UINT ")"
     gfref  := "gf" "(" NAME ")"
     subst  := "subst" "(" expr "," ("-")? "q" "^" UINT ")"
@@ -16,15 +16,16 @@ Grammar (whitespace-insensitive)::
     ifact  := INT | NAME | "ceil2" "(" iexpr ")"
             | "(-1)" "^" "(" iexpr ")" | "(" iexpr ")"
 
-"^" binds tightest, then "*" and "/" (left-associative), then "+" and
-"-".  Unary minus binds tighter than "*".  INT and UINT are ASCII digits
-0-9 only.  A token is a run of such digits, a word (a letter or "_", then
-letters, digits or "_") or one symbol of -+*/^(){},; and only space,
-tab, CR and LF may separate tokens.  The operators of one level, in a
-theta body too, make one flat Chain node read left to right; "div" is
-exact integer division and errors on any remainder, and "ceil2" is the
-mathematical ceiling of half.  Parse errors carry the byte offset of the
-offending token and the set of tokens that would have been accepted.
+"^" binds tightest, then unary minus, then "*" and "/" (left-
+associative), then "+" and "-": "-2^2" is -(2^2) = -4, and "(-2)^2" is
+4.  INT and UINT are ASCII digits 0-9 only.  A token is a run of such
+digits, a word (a letter or "_", then letters, digits or "_") or one
+symbol of -+*/^(){},; and only space, tab, CR and LF may separate
+tokens.  The operators of one level, in a theta body too, make one flat
+Chain node read left to right; "div" is exact integer division and
+errors on any remainder, and "ceil2" is the mathematical ceiling of
+half.  Parse errors carry the byte offset of the offending token and
+the set of tokens that would have been accepted.
 
 A theta exponent must be, on each parity class n = 2m + r, a polynomial
 in m of degree at most 2 and not a falling quadratic, since the theta
@@ -303,6 +304,8 @@ class _Parser:
         return self.chain(self.parse_factor, {"*": self.parse_factor, "/": self.parse_factor})
 
     def parse_factor(self) -> Expr:
+        if self.at("-"):
+            return Neg(self.nested(self.advance(), self.parse_factor))
         node = self.parse_base()
         if self.at("^"):
             self.advance()
@@ -313,8 +316,6 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             return IntLit(self.expect_int())
-        if self.at("-"):
-            return Neg(self.nested(self.advance(), self.parse_base))
         if self.at("("):
             return self.nested(self.advance(), self.parse_expr, ")")
         if self.at("q"):
@@ -832,14 +833,14 @@ def _as_base(node: Expr) -> str:
             f"theta{{{node.var} in {node.domain.value}}}"
             f"({pretty(node.weight)}; {pretty(node.exponent)})"
         )
-    if isinstance(node, Neg):
-        return "-" + _as_base(node.child)
     if isinstance(node, IFunc):
         return f"{node.name}({pretty(node.child)})"
     return "(" + pretty(node) + ")"
 
 
 def _as_factor(node: Expr) -> str:
+    if isinstance(node, Neg):
+        return "-" + _as_factor(node.child)
     if isinstance(node, Pow):
         return f"{_as_base(node.child)}^{node.exponent}"
     return _as_base(node)

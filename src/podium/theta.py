@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 from typing import Callable
 
-from ._value import Value
 from .series import Series
 
 _SCAN_LIMIT = 10**6
@@ -34,32 +33,11 @@ class Domain(enum.Enum):
     NON_NEGATIVE = "N"
 
 
-class QuadExp(Value):
-    """Exponent e(n) = (a*n^2 + b*n + c) / d, exactly integer-valued.
-
-    Divisibility by d is checked at construction, so a mis-transcribed
-    exponent fails at once.  a >= 0 keeps the exponent eventually growing.
-    """
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: int, b: int, c: int = 0, d: int = 1):
-        super().__init__(a, b, c, d)
-        if self.d < 1:
-            raise ValueError(f"denominator must be >= 1, got {self.d}")
-        if self.a < 0:
-            raise ValueError(f"quadratic coefficient must be >= 0, got {self.a}")
-        # d divides f(n) = a*n^2 + b*n + c at every n if it does at n = 0, 1
-        # and 2, since f(n) = f(0) + n (f(1) - f(0)) + C(n, 2) (f(2) - 2 f(1) + f(0))
-        for n in (0, 1, 2):
-            if (self.a * n * n + self.b * n + self.c) % self.d:
-                raise ValueError(
-                    f"({self.a}*n^2 + {self.b}*n + {self.c}) not divisible "
-                    f"by {self.d} at n={n}"
-                )
-
-    def __call__(self, n: int) -> int:
-        return (self.a * n * n + self.b * n + self.c) // self.d
+# Nothing in podium builds a QuadExp, since every theta is identity text;
+# the empty class stays because benchmark/tracing.py checks for it, until
+# ROADMAP item 1 drops that check
+class QuadExp:
+    pass
 
 
 def _accumulate(coeffs, weight, exponent, order, start, step):
@@ -105,9 +83,8 @@ def theta_series(
     + n, which one scan over all n would cut short.  One that does fall
     is summed wrongly, with no error: e(n) = 100n - n^2 over N at order 10
     gives 1 + 0q + ... + 0q^10, although e(100) = 0 and e(n) < 0 beyond.
-    QuadExp refuses a falling quadratic, and the identity language
-    refuses such an exponent.  A scan that has not stopped after 10^6
-    steps raises DivergenceError.
+    The identity language refuses such an exponent.  A scan that has not
+    stopped after 10^6 steps raises DivergenceError.
     """
     if not isinstance(domain, Domain):
         raise TypeError(f"domain must be a Domain, got {type(domain).__name__}")

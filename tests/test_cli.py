@@ -3,6 +3,7 @@ import json
 import platform
 import random
 import re
+import sys
 import time
 from importlib import resources
 
@@ -179,6 +180,21 @@ class TestExpand:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-to-string digit limit before CPython 3.10.7")
+    @pytest.mark.parametrize("text, order, index", [
+        ("2^20000", "0", 0),
+        ("1 + q^1 * 2^20000", "2", 1),
+    ])
+    def test_unprintable_coefficient_is_named(self, capsys, tmp_path, text, order, index):
+        path = tmp_path / "out.txt"
+        for out_flag in ([], ["--out", str(path)]):
+            code, out, err = run(capsys, "expand", text, "--order", order, *out_flag)
+            assert code == 2
+            assert out == ""
+            assert err == f"podium: coefficient {index} has 20001 bits, too many to print\n"
+        assert not path.exists()
 
     def test_large_coefficient_prints(self, capsys):
         code, out, _ = run(capsys, "expand", "2^14000", "--order", "0")

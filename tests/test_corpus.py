@@ -231,9 +231,9 @@ PINS = {
     "bundled": (294, "10cc2dbfd75cc2d73ef4ff1d832f0bd546a10362ffa9444ff746de988c6336ee",
         "97ecd0cf4615fb2439b3034bad48e469beec30f2ef4a382be2aac611dea83f4f"),
     "hostile-text:1": (11958, "77a2b2c8405b22b8b9f48120e8cfe674ee722d06ed3e1b4fa89cf7cd8ab6a77c",
-        "725edc9aac7f127b09b0572b8807bce41b439706f99f02314e9dce259650e3c7"),
+        "7422ab02a8a2bea53cc5b308678c18fe5e36a38c335b7d9404b78309f87613af"),
     "hostile-text:2": (11958, "fe10c6fef0b201119ec4449966ea6b8bd7e39ca9f44e05534e3032728294253c",
-        "ab573c0f4003bbb4daf9d5f17caa1dcb2b97513d36f3068486b0fba435ef8a98"),
+        "e902d0a48ae2b45db784d208eee9da9e8ae56f43170a1794dbb6d53ba526f22c"),
     "identity-stream:1": (1600, "a6d408142131b2cb7c7570dbbfcbb4c13beee89720629e57df055cfa4943f0b8",
         "6eb86c74e2dd3eb444b5b9014a075443014ba5a480cf6f286f5c91a89c447a86"),
     "identity-stream:2": (1600, "5d979bfffc6c60d61d6def4577b586edd3be37537149b124e477f5fc02bf6f17",

@@ -69,6 +69,12 @@ class TestParse:
         got = parse("-2 * 3")
         assert got == Chain(Neg(IntLit(2)), (("*", IntLit(3)),))
 
+    def test_power_binds_tighter_than_unary_minus(self):
+        assert parse("-2^2") == Neg(Pow(IntLit(2), 2))
+        assert list(expand("-2^2", 0)) == [-4]
+        assert list(expand("(-2)^2", 0)) == [4]
+        assert list(expand("-gf(pod)^2", 3)) == [-c for c in expand("gf(pod)^2", 3)]
+
     def test_left_associativity(self):
         got = parse("gf(p) - gf(pod) - gf(ped)")
         assert got == Chain(
@@ -480,6 +486,8 @@ class TestPretty:
             "theta{n in Z}((-1)^(ceil2(n*(n+1) div 2)); (n + 1)*(n + 2) div 2 + 3*n*n)",
             "theta{n in N}(2*(n - 1)*ceil2(n) div 2; n*(n*(n + 1) div 2 - (n - 3)) + 1)",
             "theta{m in Z}((-1)^((-1)^(m) + m) * (m + 1); (2*m*m + m) div 1 - 0)",
+            "(-2)^2",
+            "-2^2",
         ],
     )
     def test_round_trip(self, text):

@@ -1,10 +1,8 @@
-import itertools
-
 import pytest
 
 from podium.dsl import named_theta
 from podium.series import constant, pochhammer
-from podium.theta import DivergenceError, Domain, QuadExp, theta_series
+from podium.theta import DivergenceError, Domain, theta_series
 
 
 def one(n):
@@ -27,32 +25,6 @@ def alt_ceil_half(n):
     return -1 if ceil_half(n) % 2 else 1
 
 
-class TestQuadExp:
-    def test_divisibility_enforced(self):
-        with pytest.raises(ValueError):
-            QuadExp(1, 0, 1, 2)  # (n^2 + 1)/2 is not always integral
-
-    def test_divisibility_verdicts_match_a_brute_force_check(self):
-        # checked at n = 0, 1 and 2 only, which decides it for every n
-        for a, b, c, d in itertools.product(range(4), range(-3, 4), range(-3, 4), range(1, 7)):
-            divisible = all((a * n * n + b * n + c) % d == 0 for n in range(-300, 301))
-            try:
-                QuadExp(a, b, c, d)
-            except ValueError:
-                assert not divisible, (a, b, c, d)
-            else:
-                assert divisible, (a, b, c, d)
-
-    def test_negative_quadratic_rejected(self):
-        with pytest.raises(ValueError):
-            QuadExp(-1, 0)
-
-    def test_evaluation(self):
-        tri = QuadExp(1, 1, 0, 2)
-        assert [tri(n) for n in range(5)] == [0, 1, 3, 6, 10]
-        assert tri(-3) == 3
-
-
 class TestThetaSeries:
     def test_phi_coefficients(self):
         assert list(named_theta("phi", 9)) == [1, 2, 0, 0, 2, 0, 0, 0, 0, 2]
@@ -64,7 +36,7 @@ class TestThetaSeries:
 
     def test_hexagonal_sum_matches_triple_product(self):
         n = 100
-        s = theta_series(Domain.ALL_INTEGERS, alt, QuadExp(2, 1), n)
+        s = theta_series(Domain.ALL_INTEGERS, alt, lambda k: 2 * k * k + k, n)
         prod = (
             pochhammer(1, 4, 4, n)
             * pochhammer(1, 3, 4, n)
@@ -113,7 +85,7 @@ class TestThetaSeries:
     def test_argument_checks(self, domain, order, error, message):
         # a domain such as the text "Z" must not be read as N
         with pytest.raises(error, match=message):
-            theta_series(domain, one, QuadExp(1, 0), order)
+            theta_series(domain, one, lambda k: k * k, order)
 
     def test_dipping_window_not_cut_short(self):
         # exponent dips before growing; every point must still be collected
@@ -158,10 +130,8 @@ class TestProductForms:
 
     def test_reindexing_identity(self):
         n = 100
-        two_sided = theta_series(Domain.ALL_INTEGERS, alt, QuadExp(2, 1), n)
-        one_sided = theta_series(
-            Domain.NON_NEGATIVE, alt_ceil_half, QuadExp(1, 1, 0, 2), n
-        )
+        two_sided = theta_series(Domain.ALL_INTEGERS, alt, lambda k: 2 * k * k + k, n)
+        one_sided = theta_series(Domain.NON_NEGATIVE, alt_ceil_half, triangular, n)
         assert two_sided == one_sided
 
 

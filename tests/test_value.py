@@ -23,7 +23,7 @@ from podium.manifest import IdentityRecord, SuiteEntry, SuiteReport
 from podium.partitions import _RULES, FunctionId, _Rule, _weight_one
 from podium._value import Value
 from podium.series import Mismatch, Series
-from podium.theta import Domain, QuadExp
+from podium.theta import Domain
 
 
 def _part(v):
@@ -77,7 +77,6 @@ CASES = [
         f"_Rule(cap=22, ceiling=30, part={_part!r}, weight={_weight!r})",
     ),
     (Mismatch(4, 1, 2), "Mismatch(index=4, left=1, right=2)"),
-    (QuadExp(1, 1, 0, 2), "QuadExp(a=1, b=1, c=0, d=2)"),
     (Series([1, 2]), "Series([1, 2], order=1)"),
 ]
 VALUES = [value for value, _ in CASES]
@@ -89,7 +88,7 @@ def fields(value):
 
 
 def test_every_type_is_covered():
-    assert len({type(value) for value in VALUES}) == len(VALUES) == 18
+    assert len({type(value) for value in VALUES}) == len(VALUES) == 17
     assert all(isinstance(value, Value) for value in VALUES)
 
 
@@ -119,7 +118,7 @@ class TestContract:
             try:
                 changed = type(value)(**other)
             except (TypeError, ValueError):
-                continue  # QuadExp checks its fields
+                continue  # Series checks its fields
             assert changed != value and not changed == value
 
     def test_no_equality_with_the_bare_fields(self, value):
@@ -178,7 +177,7 @@ def test_missing_argument_refused():
     with pytest.raises(TypeError):
         IdentityRecord(id="a", lhs="1", order=3)
     with pytest.raises(TypeError):
-        QuadExp(1)
+        Mismatch(1)
 
 
 class TestSeries:
@@ -210,35 +209,16 @@ class TestDefaults:
         )
         assert entry.line() == "FAIL  a  order=40"
 
-    def test_quad_exp(self):
-        assert QuadExp(1, 1) == QuadExp(1, 1, 0, 1) == QuadExp(a=1, b=1)
-        assert (QuadExp(1, 1).c, QuadExp(1, 1).d) == (0, 1)
-        assert QuadExp(3, -1, d=2)(3) == 12
-
     def test_rule(self):
         rule = _Rule(35, 60)
         assert rule.part(7) == (None, 1)
         assert rule.weight is _weight_one
+        # a middle default skipped by keyword
+        skipped = _Rule(22, 30, weight=_weight)
+        assert skipped.part is rule.part and skipped.weight is _weight
+        assert skipped == _Rule(22, 30, rule.part, _weight)
         assert _Rule.__slots__ == ("cap", "ceiling", "part", "weight")
         assert _RULES[FunctionId.P] == rule
-
-
-class TestQuadExpRefusals:
-    @pytest.mark.parametrize(
-        "args, message",
-        [
-            ((1, 1, 0, 0), "denominator must be >= 1, got 0"),
-            ((1, 1, 0, -2), "denominator must be >= 1, got -2"),
-            ((-1, 0), "quadratic coefficient must be >= 0, got -1"),
-            ((1, 0, 1, 2), "(1*n^2 + 0*n + 1) not divisible by 2 at n=0"),
-            ((1, 0, 0, 2), "(1*n^2 + 0*n + 0) not divisible by 2 at n=1"),
-            ((1, 3, 0, 4), "(1*n^2 + 3*n + 0) not divisible by 4 at n=2"),
-        ],
-    )
-    def test_message(self, args, message):
-        with pytest.raises(ValueError) as info:
-            QuadExp(*args)
-        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
