@@ -144,10 +144,10 @@ def _bench_run(order: int) -> dict:
     """Time the pod build, one pod*pod product and the bundled suite.
 
     The caller loads the bundled manifest first, so verify_ms is the
-    suite's checks alone.  The build leaves pod's expansion in
-    dsl.evaluate's memo, where the suite finds it; a record's seconds
-    include only the eta quotients it expands, not those it finds in the
-    memo.
+    suite's checks alone.  The build leaves pod's expansion in the eta
+    memo of podium.series, where the suite finds it; a record's seconds
+    include only the eta passes it runs, not the expansions or plan
+    prefixes it finds in the memo.
     """
     pod, build_ms = _timed_ms(lambda: gf_series(FunctionId.POD, order))
     product, mul_ms = _timed_ms(lambda: pod * pod)

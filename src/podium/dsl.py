@@ -54,22 +54,32 @@ every poch in it is one.  The rewrites, all classical:
   (q^2b; q^2b)^3 / ((q^b; q^b) (q^4b; q^4b)), and leaves even b alone;
 * subst(., q^k) multiplies every b by k;
 * "*", "/" and "^" add, subtract and scale the vectors, and gf(f) lowers
-  through its product form.
+  through its product form;
+* the (+-q^a; q^b) factors of one product chain that have no form of
+  their own, each with a <= b, are read together by residue class:
+  (q^a; q^b) is prod_n (1 - q^n)^c(n) with c(n) = [n = a mod b], and
+  with the chain's signs c is summed on the common period M of the
+  strides, at most MAX_PERIOD.  If c(n) depends on gcd(n, M) alone, the
+  factors are the vector a_d = c(d) - sum_{e | d, e < d} a_e over the
+  divisors d of M (S. Robins, Contemp. Math. 166, 1994), so
+  (q; q^4) (q^3; q^4) is (q; q^2) = {1: 1, 2: -1}; otherwise they stay
+  as they are.
 
 Anything else has no normal form: theta sums, polynomials, other
-constants, sums, and a poch that is no eta quotient, such as (q; q^4).
-The sparse eta kernels of :mod:`podium.series` expand a whole eta
-quotient, once per vector and order (see :func:`evaluate`), and apply
-the merged eta factors of a product chain to the product of its other
-factors; the rest is walked node by node, so errors and their messages
-are the walk's.  Below order NEWTON_BASE (32), the series layer's own
-switch between small and large orders, all of it is walked; the kernels
-gain nothing measurable there.
+constants, sums, and a poch that is no eta quotient, such as (q; q^4)
+alone.  The sparse eta kernels of :mod:`podium.series` expand a whole
+eta quotient, through that module's memo, and apply the merged eta
+factors of a product chain to the product of its other factors; the
+rest is walked node by node, so errors and their messages are the
+walk's.  Below order NEWTON_BASE (32), the series layer's own switch
+between small and large orders, all of it is walked; the kernels gain
+nothing measurable there.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import operator
 import re
 from collections import namedtuple
@@ -616,9 +626,52 @@ def normal_form(node: Expr) -> Optional[Etas]:
     return {} if node == IntLit(1) else None
 
 
+# _residue_etas reads (+-q^a; q^b) factors on the common period of their
+# strides only up to this period, so that a chain whose strides have a
+# large lcm, such as poch(q^1, q^99991) * poch(q^1, q^99989), is walked at
+# once.
+MAX_PERIOD = 64
+
+
+def _residue_etas(pochs) -> Optional[Etas]:
+    """The (op, Poch) pairs of a product chain, each with a <= b, as one
+    eta vector, or None if their product is not an eta quotient.
+
+    (q^a; q^b) is prod_n (1 - q^n)^c(n) with c(n) = [n = a mod b], and
+    (-q^a; q^b) = (q^2a; q^2b) / (q^a; q^b).  Summed with the chain's
+    signs on the common period M of the strides, c is
+    prod_{d | M} (q^d; q^d)^{a_d} exactly when c(n) depends on gcd(n, M)
+    alone, with a_d = c(d) - sum_{e | d, e < d} a_e (S. Robins,
+    Generalized Dedekind eta-products, Contemp. Math. 166, 1994).
+    """
+    period = 1
+    for _, poch in pochs:
+        period = math.lcm(period, poch.b if poch.sign == 1 else 2 * poch.b)
+        if period > MAX_PERIOD:
+            return None
+    c = [0] * (period + 1)  # c[n] for n in 1..M; c[M] is the class of 0
+    for op, poch in pochs:
+        sign = 1 if op == "*" else -1
+        parts = [(poch.a, poch.b, sign)]
+        if poch.sign == -1:
+            parts = [(2 * poch.a, 2 * poch.b, sign), (poch.a, poch.b, -sign)]
+        for a, b, s in parts:
+            for n in range(a, period + 1, b):
+                c[n] += s
+    if any(c[n] != c[math.gcd(n, period)] for n in range(1, period)):
+        return None
+    etas = {}
+    for d in range(1, period + 1):
+        if period % d == 0:
+            etas[d] = c[d] - sum(a for e, a in etas.items() if d % e == 0)
+    return {d: a for d, a in etas.items() if a}
+
+
 def _merge(factors) -> Tuple[Etas, list]:
     """The merged vector of the (op, factor) pairs of a product chain that
-    have a normal form, and the pairs that have none, in order."""
+    have a normal form, and the pairs that have none, in order.  The
+    (+-q^a; q^b) factors with no form of their own and a <= b join the
+    vector too when together they are an eta quotient (_residue_etas)."""
     etas, others = {}, []
     for op, factor in factors:
         part = normal_form(factor)
@@ -626,7 +679,14 @@ def _merge(factors) -> Tuple[Etas, list]:
             others.append((op, factor))
         else:
             etas = _merged(etas, part, 1 if op == "*" else -1)
-    return etas, others
+    pochs, rest = [], []
+    for pair in others:
+        factor = pair[1]
+        (pochs if isinstance(factor, Poch) and factor.a <= factor.b else rest).append(pair)
+    part = _residue_etas(pochs) if pochs else None
+    if part is None:
+        return etas, others
+    return _merged(etas, part, 1), rest
 
 
 def _walk(operands, order: int) -> Series:
@@ -642,12 +702,6 @@ def _walk(operands, order: int) -> Series:
     return value
 
 
-@lru_cache(maxsize=8)
-def _eta_expansion(etas: Tuple[Tuple[int, int], ...], order: int) -> Series:
-    """prod_b (q^b; q^b)_oo^{a_b} at `order`, for the sorted (b, a_b) pairs."""
-    return eta_quotient(constant(1, order), dict(etas))
-
-
 def evaluate(node: Expr, order: int) -> Series:
     """Evaluate a parsed expression to an exact Series at `order`.
 
@@ -659,15 +713,11 @@ def evaluate(node: Expr, order: int) -> Series:
     messages are the walk's.
 
     gf(f) is its product form, evaluated here like any other text; it
-    has no cache of its own.
-
-    A whole eta quotient is memoized, keyed on its sorted (b, a_b) pairs
-    and the order, for the 8 vectors used last: the bundled manifest's 64
-    such sides use 27 vectors per order and make 29 expansions (6 to 12
-    entries save 35 of the 37 repeats, 16 save all).  An entry is the
-    Series returned; at MAX_ORDER the largest bundled side's takes 16 MiB,
-    so 8 such take about 130 MiB, against 256 series in pochhammer.
-    Series are immutable, so a hit is bit-identical.
+    has no cache of its own.  A whole eta quotient is expanded on a base
+    of 1 by series.eta_quotient, whose memo keeps it by order and plan,
+    bounded by series.ETA_MEMO_BYTES: the bundled manifest's sides use 27
+    vectors per order, and a vector that another side has expanded, or a
+    plan prefix of it, is not expanded again.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -676,7 +726,7 @@ def evaluate(node: Expr, order: int) -> Series:
         factors = node.operands if product else (("*", node),)
         etas, others = _merge(factors)
         if not others:
-            return _eta_expansion(tuple(sorted(etas.items())), order)
+            return eta_quotient(constant(1, order), etas)
         if len(others) < len(factors):
             return eta_quotient(_walk(others, order), etas)
     if isinstance(node, IntLit):

@@ -172,8 +172,9 @@ class SuiteEntry(Value):
     `status` is "pass", "mismatch" (the sides differ; `detail` says
     where) or "error" (the check raised; `detail` is its message).
     `seconds` is the check's own wall time.  Sides that share an eta
-    quotient share its memoized expansion (see dsl.evaluate): the record
-    that expands it is charged, and a later one that finds it is not.
+    quotient, or a prefix of its plan, share its expansion in the eta memo
+    of podium.series (see series.eta_quotient): the record that expands it
+    is charged, and a later one that finds it is not.
     """
 
     __slots__ = ("name", "status", "order", "seconds", "detail", "anchor")

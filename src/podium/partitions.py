@@ -15,8 +15,8 @@ enumeration oracles, :func:`gf_series` and :func:`table`.
 A product form has one route to a series: :func:`gf_series` and the
 text ``gf(f)`` both evaluate its one parse,
 :func:`podium.dsl.product_form`, through :func:`podium.dsl.evaluate`.
-No cache here holds the result; that evaluator's eta memo holds a whole
-eta quotient.
+No cache here holds the result; the eta memo of :mod:`podium.series`
+holds a whole eta quotient, bounded by its coefficients' bytes.
 
 The count comes from one depth-first walk per (function, limit) that
 visits every object of total <= limit exactly once, the classical
@@ -51,7 +51,7 @@ class CapExceededError(ValueError):
 def gf_series(fid: FunctionId, order: int) -> Series:
     """Generating series of `fid` truncated at `order`: its product form,
     evaluated as the text gf(f) is.  Nothing is cached here; a whole eta
-    quotient is found in dsl.evaluate's eta memo."""
+    quotient is found in the eta memo of series.eta_quotient."""
     return dsl.evaluate(dsl.product_form(fid), order)
 
 

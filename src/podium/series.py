@@ -39,13 +39,21 @@ multiplied in once.  The list puts Miller passes first, then row
 multiplies, then row divides, so on a base of 1 the first pass meets a
 constant: a Miller pass's product is then a scale, and a row multiply
 on a base of few terms goes term by term, in O(terms sqrt(N/b)).
+
+What a plan expands on a base of 1 is kept in one memo, keyed on the
+order and the plan, and bounded by its coefficients' bytes
+(ETA_MEMO_BYTES).  A plan starts from its longest prefix that is stored,
+so gf(cubic), Euler's row divided out at strides 1 and 2, runs one
+division after gf(p) has run the first.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from bisect import bisect_right
+from collections import OrderedDict
 from functools import lru_cache, partial
 from itertools import accumulate, compress
 from typing import Iterable, Iterator, Optional
@@ -597,6 +605,53 @@ def _eta_power(a: int, limit: int) -> list:
     return g
 
 
+# eta_quotient keeps what it expands on a base of 1 (_EtaMemo), and drops
+# its least recently used entries while their coefficients take more than
+# this many bytes.  The bundled suite's 26 entries take 50 MiB at order
+# 32000, so the suite drops none there; at higher orders the bound, not
+# the number of vectors, caps the memory the memo holds.
+ETA_MEMO_BYTES = 64 << 20
+
+
+class _EtaMemo:
+    """Expansions on a base of 1, keyed on (order, whole plan), least
+    recently used first.  An entry is the Series returned and its bytes,
+    the coefficient tuple's and its ints' as sys.getsizeof counts them,
+    and the entries take at most ETA_MEMO_BYTES in all."""
+
+    def __init__(self):
+        self.entries = OrderedDict()  # (order, plan) -> (Series, bytes)
+        self.bytes = 0
+
+    def longest_prefix(self, order: int, plan: tuple):
+        """(i, series) for the longest plan[:i], i >= 1, that is stored,
+        marked as just used, or (0, None)."""
+        for i in range(len(plan), 0, -1):
+            key = (order, plan[:i])
+            if key in self.entries:
+                self.entries.move_to_end(key)
+                return i, self.entries[key][0]
+        return 0, None
+
+    def store(self, order: int, plan: tuple, value: Series) -> None:
+        # an int is not tracked by the collector, so its __sizeof__ is its
+        # getsizeof, and a seventh of the cost over 1000 coefficients
+        size = sys.getsizeof(value.coeffs) + sum(map(int.__sizeof__, value.coeffs))
+        if size > ETA_MEMO_BYTES:
+            return
+        self.entries[order, plan] = value, size
+        self.bytes += size
+        while self.bytes > ETA_MEMO_BYTES:
+            self.bytes -= self.entries.popitem(last=False)[1][1]
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.bytes = 0
+
+
+_ETA_MEMO = _EtaMemo()
+
+
 def eta_quotient(base: Series, etas: dict) -> Series:
     """base * prod_b (q^b; q^b)_oo^{a_b}, for etas = {b: a_b}.
 
@@ -616,6 +671,12 @@ def eta_quotient(base: Series, etas: dict) -> Series:
     term, which _times does in O(terms sqrt(N/b)).  No plan costs more
     than those kernels alone, and none runs a loop |a_b| times past
     |a_b| = 3.
+
+    On a base of 1 the plan resumes from its longest prefix in the memo
+    (_EtaMemo), runs only the passes after it, and stores the whole
+    plan's result; a plan stored whole returns the stored Series itself,
+    so gf(pod) and poch(-q^1, q^2) / poch(q^2, q^2) are one object.
+    Series are immutable, so a hit is bit-identical.
     """
     for b, a in etas.items():
         if not isinstance(b, int):
@@ -625,9 +686,14 @@ def eta_quotient(base: Series, etas: dict) -> Series:
         if not isinstance(a, int):
             raise TypeError(f"eta quotient exponents must be int, got {type(a).__name__}")
     order = base.order
-    c = list(base.coeffs)
     # (q^b; q^b)_oo is 1 up to q^order once b > order
-    for builder, b, a in _plan(tuple(sorted((b, a) for b, a in etas.items() if a and b <= order))):
+    plan = _plan(tuple(sorted((b, a) for b, a in etas.items() if a and b <= order)))
+    one = bool(plan) and base.coeffs[0] == 1 and base.coeffs.count(0) == order
+    done, found = _ETA_MEMO.longest_prefix(order, plan) if one else (0, None)
+    if done == len(plan) and found is not None:
+        return found
+    c = list((base if found is None else found).coeffs)
+    for builder, b, a in plan[done:]:
         if builder is None:
             power = [0] * (order + 1)
             power[:: b] = _eta_power(a, order // b)
@@ -635,7 +701,10 @@ def eta_quotient(base: Series, etas: dict) -> Series:
         else:
             k, plus, minus = builder(order // b)
             c = (_times if a > 0 else _divide)(c, k, [b * e for e in plus], [b * e for e in minus])
-    return Series(c)
+    value = Series(c)
+    if one:
+        _ETA_MEMO.store(order, plan, value)
+    return value
 
 
 def equal_upto(a: Series, b: Series, order: int) -> Optional[Mismatch]:

@@ -205,6 +205,16 @@ def no_walk(monkeypatch):
 
 
 @pytest.fixture
+def cold_memo():
+    """The eta memo (series._ETA_MEMO), empty before the test and after it,
+    so that kernel calls counted in a test are not hidden by entries that
+    earlier tests left."""
+    series._ETA_MEMO.clear()
+    yield series._ETA_MEMO
+    series._ETA_MEMO.clear()
+
+
+@pytest.fixture
 def dense_products(monkeypatch):
     """The sizes of the `series._product` calls whose two operands are both
     non-constant, the Kronecker products; a product by a constant is a

@@ -94,6 +94,8 @@ class TestRewriteRules:
             "poch(q^1, q^4)",
             "poch(-q^1, q^3)",
             "poch(q^1, q^1) / poch(q^1, q^4)",
+            "poch(q^1, q^2) / poch(q^1, q^4)",
+            "poch(q^3, q^4) * poch(q^1, q^5)",
             "subst(poch(q^1, q^4) * poch(q^2, q^2), -q^1)",
         ))
 
@@ -104,6 +106,56 @@ class TestRewriteRules:
     def test_rest_is_a_fixed_point(self):
         self.assert_no_normal_form(
             ("poch(q^1, q^1) / (poch(q^1, q^4) * (2 - q^3)) * theta{n in Z}(1; n*n)",))
+
+
+def residue_chain(rng):
+    """A product chain of (+-q^a; q^b) factors, a and b in 1..12.  For one
+    stride b, each class of a with one gcd(a, b) is taken whole or left out,
+    each under one sign and one op, which is an eta quotient (the product
+    depends on gcd(n, 2b) alone); then up to two random factors, with a
+    past b too, which mostly leave none."""
+    b = rng.randint(1, 12)
+    factors = []
+    for d in (d for d in range(1, b + 1) if b % d == 0):
+        op, sign = rng.choice("*/ "), rng.choice(["", "-"])
+        if op != " ":
+            factors += [(op, f"poch({sign}q^{a}, q^{b})") for a in range(1, b + 1)
+                        if math.gcd(a, b) == d]
+    factors += [(rng.choice("*/"), f"poch({rng.choice(['', '-'])}q^{rng.randint(1, 12)}, "
+                                   f"q^{rng.randint(1, 12)})") for _ in range(rng.randint(0, 2))]
+    rng.shuffle(factors)
+    return "1" + "".join(f" {op} {factor}" for op, factor in factors)
+
+
+class TestResidueRule:
+    """(+-q^a; q^b) factors with no form of their own, merged by residue
+    class on their common period."""
+
+    def test_random_chains_equal_the_tree_walk(self):
+        rng = random.Random(31)
+        forms = []
+        for _ in range(120):
+            text = residue_chain(rng)
+            order = rng.randint(NEWTON_BASE, 120)
+            forms.append(normal_form(parse(text)))
+            assert outcome(evaluate, text, order) == outcome(reference_evaluate, text, order), text
+        merged = sum(form is not None for form in forms)
+        assert 30 <= merged <= len(forms) - 30, merged
+
+    def test_hexagonal_left_side_is_one_psi_minus_q_row(self):
+        rec = next(rec for rec in bundled_manifest() if rec.id == "hexagonal-triple-product")
+        assert etas(rec.lhs) == {1: 1, 2: -1, 4: 1}
+        assert series._plan(((1, 1), (2, -1), (4, 1))) == ((ROWS[4][0], 1, 1),)
+        assert expand(rec.lhs, 200) == reference_evaluate(parse(rec.lhs), 200)
+
+    def test_a_large_period_gives_up_at_once(self):
+        # the strides' lcm is about 10^10; reading c on it would not end
+        text = "poch(q^1, q^99991) * poch(q^1, q^99989)"
+        started = time.perf_counter()
+        assert normal_form(parse(text)) is None
+        assert time.perf_counter() - started < 0.5
+        order = 2 * NEWTON_BASE
+        assert outcome(evaluate, text, order) == outcome(reference_evaluate, text, order)
 
 
 # Eighteen bundled records have equal normal forms on both sides, so
@@ -234,48 +286,88 @@ class TestLayerCalls:
         assert dense_products == []
 
 
-class TestMemo:
-    """A whole eta quotient is expanded once per vector and order."""
+@pytest.fixture
+def passes(monkeypatch):
+    """The names of the row passes run, "_times" or "_divide", in order."""
+    seen = []
+    for name in ("_times", "_divide"):
+        kernel = getattr(series, name)
+        monkeypatch.setattr(
+            series, name, lambda *row, name=name, kernel=kernel: seen.append(name) or kernel(*row))
+    return seen
 
-    @pytest.fixture(autouse=True)
-    def cold_memo(self):
-        dsl._eta_expansion.cache_clear()
-        yield
-        dsl._eta_expansion.cache_clear()
+
+@pytest.mark.usefixtures("cold_memo")
+class TestMemo:
+    """eta_quotient on a base of 1 keeps each whole plan's expansion, per
+    order, and resumes a plan from its longest stored prefix."""
 
     @pytest.mark.parametrize("order", [NEWTON_BASE, 300])
-    def test_warm_memo_equals_the_tree_walk(self, order):
+    def test_warm_memo_equals_the_tree_walk(self, order, cold_memo):
         sides = [parse(text) for rec in bundled_manifest() for text in (rec.lhs, rec.rhs)]
         sides = [node for node in sides if normal_form(node) is not None]
         for node in sides:
             evaluate(node, order)
+        stored = len(cold_memo.entries)
         for node in reversed(sides):
             got, expected = evaluate(node, order), reference_evaluate(node, order)
             assert got == expected, pretty(node)
-        assert dsl._eta_expansion.cache_info().hits > len(sides)
+        assert stored == len(cold_memo.entries) < len(sides)
 
-    def test_two_spellings_of_one_vector_share_an_entry(self):
+    def test_two_spellings_of_one_vector_share_an_entry(self, cold_memo):
         pod = evaluate(parse("gf(pod)"), ORDER)
         spelled = evaluate(parse("poch(-q^1, q^2) / poch(q^2, q^2)"), ORDER)
         assert spelled is pod
-        info = dsl._eta_expansion.cache_info()
-        assert (info.hits, info.currsize) == (1, 1)
+        assert len(cold_memo.entries) == 1
 
-    def test_each_order_has_its_own_entry(self):
+    def test_each_order_has_its_own_entry(self, cold_memo):
         node = parse("gf(pod)")
         for order in (40, 41):
             assert evaluate(node, order) == reference_evaluate(node, order)
-        assert dsl._eta_expansion.cache_info().currsize == 2
+        assert sorted(order for order, _ in cold_memo.entries) == [40, 41]
 
-    def test_equal_vector_record_expands_once(self, monkeypatch):
-        seen = []
-        kernel = dsl.eta_quotient
-        monkeypatch.setattr(
-            dsl, "eta_quotient", lambda *args: seen.append(args[1]) or kernel(*args)
-        )
+    def test_equal_vector_record_expands_once(self, passes):
+        # both sides are pod's vector: one division by psi(-q), then a hit
         rec = next(rec for rec in bundled_manifest() if rec.id == "pod-product-ratio")
         assert dsl.check(parse(rec.lhs), parse(rec.rhs), rec.order) is None
-        assert seen == [{1: -1, 2: 1, 4: -1}]
+        assert passes == ["_divide"]
+
+    def test_a_prefix_hit_runs_only_the_rest_of_the_plan(self, passes):
+        # gf(p) is one Euler division; gf(cubic) is that one and a second
+        # at stride 2, so it resumes from gf(p)'s entry
+        evaluate(parse("gf(p)"), 300)
+        assert passes == ["_divide"]
+        got = evaluate(parse("gf(cubic)"), 300)
+        assert passes == ["_divide", "_divide"]
+        assert got == reference_evaluate(parse("gf(cubic)"), 300)
+
+    def test_a_base_other_than_1_is_not_stored(self, cold_memo):
+        base = expand("1 - q^1", ORDER)
+        assert series.eta_quotient(base, {1: -1}) == reference_evaluate(parse("(1 - q^1) * gf(p)"), ORDER)
+        assert not cold_memo.entries
+
+    def test_eviction_keeps_the_byte_bound(self, cold_memo, monkeypatch):
+        texts = ["gf(p)", "gf(pod)", "gf(p3)", "gf(opodd)", "gf(eobar)"]
+        sizes = []
+        for text in texts:
+            evaluate(parse(text), 300)
+            sizes.append(cold_memo.bytes - sum(sizes))
+        assert len(cold_memo.entries) == len(texts)
+        bound = sizes[-1] + sizes[-2]  # room for the last two entries alone
+        monkeypatch.setattr(series, "ETA_MEMO_BYTES", bound)
+        cold_memo.clear()
+        for text in texts:
+            got = evaluate(parse(text), 300)
+            assert cold_memo.bytes <= bound
+            assert cold_memo.bytes == sum(size for _, size in cold_memo.entries.values())
+            assert got == reference_evaluate(parse(text), 300)
+        assert [value for value, _ in cold_memo.entries.values()] == [
+            evaluate(parse(text), 300) for text in texts[-2:]]
+        # a series past the bound on its own is not stored
+        monkeypatch.setattr(series, "ETA_MEMO_BYTES", 1000)
+        cold_memo.clear()
+        evaluate(parse("gf(pod)"), 300)
+        assert not cold_memo.entries and cold_memo.bytes == 0
 
 
 def schoolbook(base, exponents):
@@ -501,7 +593,7 @@ def plan_cost(plan):
 
 
 # The pass sequence of every vector the bundled sides expand at order 300,
-# 27 whole sides and 8 mixed products of which 4 are also whole, with the
+# 27 whole sides and 7 mixed products of which 4 are also whole, with the
 # rows named as in ROW_NAMES; a Miller pass would read (None, b, a_b).
 # Each lists its Miller passes, then its row multiplies, then its row
 # divides; the test checks the passes apart from their order first.
@@ -539,7 +631,6 @@ BUNDLED_PLANS = {
     ((2, -1), (4, -1)): (("euler", 2, -1), ("euler", 4, -1)),
     ((2, 1),): (("euler", 2, 1),),
     ((4, -1),): (("euler", 4, -1),),
-    ((4, 1),): (("euler", 4, 1),),
 }
 
 
@@ -557,16 +648,9 @@ def seeded_vectors():
 
 
 class TestPlanner:
-    def test_pod_is_one_division(self, monkeypatch):
-        seen = []
-        for name in ("_times", "_divide"):
-            kernel = getattr(series, name)
-            monkeypatch.setattr(
-                series, name, lambda *row, name=name, kernel=kernel: seen.append(name) or kernel(*row))
-        dsl._eta_expansion.cache_clear()
+    def test_pod_is_one_division(self, passes, cold_memo):
         got = evaluate(parse("gf(pod)"), 1000)
-        dsl._eta_expansion.cache_clear()
-        assert seen == ["_divide"]
+        assert passes == ["_divide"]
         assert got.coeffs[:101] == reference_evaluate(parse("gf(pod)"), 100).coeffs
 
     def test_no_plan_costs_more_than_the_kernels_alone(self):
@@ -590,16 +674,14 @@ class TestPlanner:
         millers = [p for p in planned if p[0] is None]
         assert (millers, len(planned)) == ([], passes)
 
-    def test_every_bundled_plan_is_pinned(self, monkeypatch):
+    def test_every_bundled_plan_is_pinned(self, monkeypatch, cold_memo):
         seen = set()
         kernel = dsl.eta_quotient
         monkeypatch.setattr(
             dsl, "eta_quotient", lambda base, etas: seen.add(tuple(sorted(etas.items()))) or kernel(base, etas))
-        dsl._eta_expansion.cache_clear()
         for rec in bundled_manifest():
             for text in (rec.lhs, rec.rhs):
                 evaluate(parse(text), 300)
-        dsl._eta_expansion.cache_clear()
         assert seen == set(BUNDLED_PLANS)
         names = {row[0]: name for row, name in zip(ROWS, ROW_NAMES)}
         names[None] = None
@@ -619,7 +701,7 @@ class TestPlanner:
             kinds = [kind(p) for p in series._plan(vector)]
             assert kinds == sorted(kinds), vector
 
-    def test_a_constant_base_is_multiplied_term_by_term(self, monkeypatch):
+    def test_a_constant_base_is_multiplied_term_by_term(self, monkeypatch, cold_memo):
         # each _times call of the bundled suite at order 1000 on a base with
         # at most one nonzero coefficient takes the term-by-term branch
         calls = []
@@ -635,11 +717,9 @@ class TestPlanner:
 
         monkeypatch.setattr(series, "_times", counted)
         monkeypatch.setattr(series, "_times_by_term", by_term)
-        dsl._eta_expansion.cache_clear()
         for rec in bundled_manifest():
             for text in (rec.lhs, rec.rhs):
                 evaluate(parse(text), 1000)
-        dsl._eta_expansion.cache_clear()
         constant_bases = [by_term for terms, by_term in calls if terms <= 1]
         assert constant_bases and all(constant_bases)
 
@@ -649,7 +729,7 @@ class TestPlanner:
         ({1: 1, 2: 10**6}, 0),  # planned as a row pass, psi(q), and a Miller pass
         ({5: 6}, 0),  # one Miller pass, where the prices alone plan six Euler passes
     ])
-    def test_miller_passes_come_first(self, dense_products, etas, products):
+    def test_miller_passes_come_first(self, dense_products, cold_memo, etas, products):
         # on a base of 1 the first Miller pass is a product by a constant,
         # a scale and no dense product; a row pass before it would force one
         series.eta_quotient(constant(1, 200), etas)

@@ -485,6 +485,6 @@ class TestKernelsMatchReferences:
                 for order in sorted({0, 1, 2, 5, 37, 200, *tops, *[t - 1 for t in tops]}):
                     expected = list(reference_pochhammer(sign, a, b, order))
                     assert list(pochhammer(sign, a, b, order)) == expected, (a, b, order)
-        # the two factors of hexagonal-triple-product, which have no eta form
+        # the two factors of hexagonal-triple-product: each factor alone has no eta form
         for a in (1, 3):
             assert list(pochhammer(sign, a, 4, 1000)) == list(reference_pochhammer(sign, a, 4, 1000))
