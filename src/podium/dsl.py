@@ -726,9 +726,9 @@ def evaluate(node: Expr, order: int) -> Series:
         factors = node.operands if product else (("*", node),)
         etas, others = _merge(factors)
         if not others:
-            return eta_quotient(constant(1, order), etas)
+            return eta_quotient(etas, order)
         if len(others) < len(factors):
-            return eta_quotient(_walk(others, order), etas)
+            return eta_quotient(etas, order, _walk(others, order))
     if isinstance(node, IntLit):
         return constant(node.value, order)
     if isinstance(node, QPow):

@@ -21,8 +21,11 @@ holds a whole eta quotient, bounded by its coefficients' bytes.
 The count comes from one depth-first walk per (function, limit) that
 visits every object of total <= limit exactly once, the classical
 one-object-per-step partition generation (Knuth, TAOCP vol. 4A,
-§7.2.1.4), and adds its weight at its own total.  The per-total table is
-cached, so checking f(0..cap) one n at a time costs a single walk.
+§7.2.1.4), and adds its weight at its own total.  An object is counted
+in its parent's loop, so a leaf, which cannot be extended, costs no call
+of its own; an unweighted rule's objects weigh 1 and are counted without
+building their parts.  The per-total table is cached, so checking
+f(0..cap) one n at a time costs a single walk.
 
 Each function's oracle is one row of data: a default cap and a hard
 ceiling past which it refuses to run, since enumeration is exponential
@@ -78,11 +81,18 @@ def _weight_one(parts):
 
 
 def _weight_alt_parts(parts):
-    return -1 if sum(m for _, m in parts) % 2 else 1
+    odd = 0
+    for _, m in parts:
+        odd ^= m
+    return -1 if odd & 1 else 1
 
 
 def _weight_alt_odd_parts(parts):
-    return -1 if sum(m for s, m in parts if s % 2) % 2 else 1
+    odd = 0
+    for s, m in parts:
+        if s & 1:
+            odd ^= m
+    return -1 if odd & 1 else 1
 
 
 def _weight_overlined(parts):
@@ -91,19 +101,35 @@ def _weight_overlined(parts):
 
 
 def _weight_eo(parts):
-    evens = [s for s, _ in parts if s % 2 == 0]
-    odds = [s for s, _ in parts if s % 2 == 1]
-    return 1 if not evens or not odds or max(evens) < min(odds) else 0
+    # every even part is below every odd part; parts come largest first, as
+    # the walk builds them, so no odd part may follow an even one
+    even = False
+    for s, _ in parts:
+        if not s & 1:
+            even = True
+        elif even:
+            return 0
+    return 1
 
 
 def _weight_eobar(parts):
     # Only the largest even part may (and, when present, must) appear an
     # odd number of times; with no even part every multiplicity is even.
-    if not _weight_eo(parts):
-        return 0
-    odd_mult = {s for s, m in parts if m % 2 == 1}
-    evens = [s for s, _ in parts if s % 2 == 0]
-    return 1 if odd_mult == ({max(evens)} if evens else set()) else 0
+    # Parts come largest first, so the first even part met is the largest,
+    # and there is one color, so no part size appears twice.
+    even = False
+    for s, m in parts:
+        if s & 1:
+            if even or m & 1:
+                return 0
+        elif even:
+            if m & 1:
+                return 0
+        elif m & 1:
+            even = True
+        else:
+            return 0
+    return 1
 
 
 class _Rule(Value):
@@ -114,9 +140,10 @@ class _Rule(Value):
     accidental exponential blowup even when a caller overrides the cap.
     `part(v)` gives (max multiplicity or None, colors) for an allowed part
     size v, else None; by default every size is allowed, uncolored and
-    unbounded.  `weight(parts)` is what an object adds to the count at
-    its total (1 by default): a sign, 0 for an object the function does
-    not count, or the number of its overlinings.
+    unbounded.  `weight(parts)` is what an object, its (size,
+    multiplicity) pairs largest first, adds to the count at its total (1
+    by default): a sign, 0 for an object the function does not count, or
+    the number of its overlinings.
     """
 
     __slots__ = ("cap", "ceiling", "part", "weight")
@@ -162,10 +189,14 @@ HARD_CAPS = {fid: rule.ceiling for fid, rule in _RULES.items()}
 def _enumeration_table(fid: FunctionId, limit: int) -> tuple:
     """Signed counts f(0..limit) from one depth-first walk over every object.
 
-    Each node of the walk is one object of total <= limit; it adds its
-    weight at its own total, then extends itself by one more slot past the
-    last one it uses.  The loop starts at the first slot whose size still
-    fits, so every step makes a new object and no branch is a dead end.
+    The walk extends each object by one more slot past the last one it
+    uses, and the loop starts at the first slot whose size still fits, so
+    every step makes a new object and no branch is a dead end.  Each
+    object's weight is added at its own total in its parent's loop; a
+    child that cannot be extended (it used the last slot, or less than the
+    smallest slot size is left) is a leaf and starts no call of its own.
+    Objects of an unweighted rule weigh 1, so they are counted without
+    building their parts.
     """
     rule = _RULES[fid]
     slots = rule.slots(limit)
@@ -174,9 +205,10 @@ def _enumeration_table(fid: FunctionId, limit: int) -> tuple:
     weight = rule.weight
     counts = [0] * (limit + 1)
     n_slots = len(slots)
+    # a child at a total past `deep` has less left than the smallest slot size
+    deep = limit - slots[-1][0] if slots else -1
 
-    def visit(parts: Parts, start: int, total: int):
-        counts[total] += weight(parts)
+    def count(start: int, total: int):
         remaining = limit - total
         first = first_fit[remaining]
         for i in range(start if start > first else first, n_slots):
@@ -184,10 +216,34 @@ def _enumeration_table(fid: FunctionId, limit: int) -> tuple:
             top = remaining // size
             if cap is not None and cap < top:
                 top = cap
-            for used in range(size, size * top + 1, size):
-                visit(parts + ((size, used // size),), i + 1, total + used)
+            grow = deep if i + 1 < n_slots else -1
+            for at in range(total + size, total + size * top + 1, size):
+                counts[at] += 1
+                if at <= grow:
+                    count(i + 1, at)
 
-    visit((), 0, 0)
+    def visit(parts: Parts, start: int, total: int):
+        remaining = limit - total
+        first = first_fit[remaining]
+        for i in range(start if start > first else first, n_slots):
+            size, cap = slots[i]
+            top = remaining // size
+            if cap is not None and cap < top:
+                top = cap
+            grow = deep if i + 1 < n_slots else -1
+            at = total
+            for mult in range(1, top + 1):
+                at += size
+                child = parts + ((size, mult),)
+                counts[at] += weight(child)
+                if at <= grow:
+                    visit(child, i + 1, at)
+
+    counts[0] = weight(())
+    if weight is _weight_one:
+        count(0, 0)
+    else:
+        visit((), 0, 0)
     return tuple(counts)
 
 

@@ -652,8 +652,9 @@ class _EtaMemo:
 _ETA_MEMO = _EtaMemo()
 
 
-def eta_quotient(base: Series, etas: dict) -> Series:
-    """base * prod_b (q^b; q^b)_oo^{a_b}, for etas = {b: a_b}.
+def eta_quotient(etas: dict, order: int, base: Optional[Series] = None) -> Series:
+    """base * prod_b (q^b; q^b)_oo^{a_b} at `order`, for etas = {b: a_b};
+    with no base, a base of 1.
 
     The vector is applied as the one ordered list of sparse passes that
     _plan picks for it, once per vector: a row pass multiplies by a theta
@@ -672,11 +673,13 @@ def eta_quotient(base: Series, etas: dict) -> Series:
     than those kernels alone, and none runs a loop |a_b| times past
     |a_b| = 3.
 
-    On a base of 1 the plan resumes from its longest prefix in the memo
+    With no base the plan resumes from its longest prefix in the memo
     (_EtaMemo), runs only the passes after it, and stores the whole
     plan's result; a plan stored whole returns the stored Series itself,
-    so gf(pod) and poch(-q^1, q^2) / poch(q^2, q^2) are one object.
-    Series are immutable, so a hit is bit-identical.
+    so gf(pod) and poch(-q^1, q^2) / poch(q^2, q^2) are one object, and
+    a hit builds no series.  Series are immutable, so a hit is
+    bit-identical.  A given base, which must be at `order`, is never
+    looked up or stored.
     """
     for b, a in etas.items():
         if not isinstance(b, int):
@@ -685,14 +688,18 @@ def eta_quotient(base: Series, etas: dict) -> Series:
             raise ValueError(f"eta quotient keys must be >= 1, got {b}")
         if not isinstance(a, int):
             raise TypeError(f"eta quotient exponents must be int, got {type(a).__name__}")
-    order = base.order
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    if base is not None and base.order != order:
+        raise ValueError(f"base order {base.order} differs from order {order}")
     # (q^b; q^b)_oo is 1 up to q^order once b > order
     plan = _plan(tuple(sorted((b, a) for b, a in etas.items() if a and b <= order)))
-    one = bool(plan) and base.coeffs[0] == 1 and base.coeffs.count(0) == order
+    one = bool(plan) and base is None
     done, found = _ETA_MEMO.longest_prefix(order, plan) if one else (0, None)
     if done == len(plan) and found is not None:
         return found
-    c = list((base if found is None else found).coeffs)
+    start = base if found is None else found
+    c = [1] + [0] * order if start is None else list(start.coeffs)
     for builder, b, a in plan[done:]:
         if builder is None:
             power = [0] * (order + 1)

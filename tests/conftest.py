@@ -16,10 +16,13 @@ same exception with the same message.
 `reference_count` is the enumeration oracle's old per-n generator: it
 builds the objects of total exactly n one slot at a time, skipping a slot
 as a branch of its own, and counts them with the function's own part
-rule and weight.  An overpartition (opbar, opodd) it counts once per way
-to overline its distinct part values, one choice at a time, so the
-overlining weight of those two rows is checked, not read.  The single
-walk behind `count_by_enumeration` must equal it.
+rule and `reference_weight`, never the rule's weight.  Those weights are
+the plain definitions, built from lists and sets: a sign from the parity
+of a part count, the even-below-odd test of eo and eobar, and for an
+overpartition (opbar, opodd) one count per way to overline its distinct
+part values, one choice at a time.  The single walk behind
+`count_by_enumeration` must equal it, and each rule's single-pass weight
+must equal its reference on every object.
 
 `reference_tokenize` is the identity language's old character-by-
 character lexer.  The one-pattern `dsl.tokenize` must give the same
@@ -151,7 +154,9 @@ def reference_tokenize(text: str) -> list:
     return tokens
 
 
-def _iter_partitions(n, slots):
+def iter_objects(n, slots):
+    """Every object of total exactly n over `slots`, as the walk's parts:
+    (size, multiplicity) pairs, largest size first."""
     acc = []
 
     def rec(i, remaining):
@@ -173,25 +178,57 @@ def _iter_partitions(n, slots):
     yield from rec(0, n)
 
 
-_OVERPARTITIONS = (partitions.FunctionId.OPBAR, partitions.FunctionId.OPODD)
+def _reference_alt_parts(parts):
+    return -1 if sum(m for _, m in parts) % 2 else 1
+
+
+def _reference_alt_odd_parts(parts):
+    return -1 if sum(m for s, m in parts if s % 2) % 2 else 1
+
+
+def _reference_eo(parts):
+    evens = [s for s, _ in parts if s % 2 == 0]
+    odds = [s for s, _ in parts if s % 2 == 1]
+    return 1 if not evens or not odds or max(evens) < min(odds) else 0
+
+
+def _reference_eobar(parts):
+    # Only the largest even part may (and, when present, must) appear an
+    # odd number of times; with no even part every multiplicity is even.
+    if not _reference_eo(parts):
+        return 0
+    odd_mult = {s for s, m in parts if m % 2 == 1}
+    evens = [s for s, _ in parts if s % 2 == 0]
+    return 1 if odd_mult == ({max(evens)} if evens else set()) else 0
+
+
+def _reference_overlinings(parts):
+    # each distinct part value may or may not be overlined
+    return sum(1 for _ in itertools.product((False, True), repeat=len(parts)))
+
+
+_REFERENCE_WEIGHTS = {
+    partitions.FunctionId.PEO: _reference_alt_parts,
+    partitions.FunctionId.AFUN: _reference_alt_parts,
+    partitions.FunctionId.QEO: _reference_alt_odd_parts,
+    partitions.FunctionId.EO: _reference_eo,
+    partitions.FunctionId.EOBAR: _reference_eobar,
+    partitions.FunctionId.OPBAR: _reference_overlinings,
+    partitions.FunctionId.OPODD: _reference_overlinings,
+}
+
+
+def reference_weight(fid: partitions.FunctionId):
+    """The plain definition of what one object of `fid` counts; an
+    object of a function with no weight counts 1."""
+    return _REFERENCE_WEIGHTS.get(fid, lambda parts: 1)
 
 
 def reference_count(fid: partitions.FunctionId, n: int) -> int:
-    """Signed count of the objects of total n, one generator per n, no cap.
-
-    Each overpartition of opbar and opodd counts 1 for every choice of
-    which of its distinct part values are overlined; every other object
-    counts its rule's weight.
-    """
-    rule = partitions._RULES[fid]
-    total = 0
-    for parts in _iter_partitions(n, rule.slots(n)):
-        if fid in _OVERPARTITIONS:
-            for _ in itertools.product((False, True), repeat=len(parts)):
-                total += 1
-        else:
-            total += rule.weight(parts)
-    return total
+    """Signed count of the objects of total n, one generator per n, no cap,
+    each weighed by the plain definition of its function's weight."""
+    weight = reference_weight(fid)
+    return sum(weight(parts) for parts in iter_objects(n, partitions._RULES[fid].slots(n)))
 
 
 @pytest.fixture

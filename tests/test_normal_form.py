@@ -320,6 +320,22 @@ class TestMemo:
         assert spelled is pod
         assert len(cold_memo.entries) == 1
 
+    def test_a_hit_builds_no_series(self, cold_memo, monkeypatch):
+        # a whole quotient reaches the memo with no base of 1 built for it
+        node = parse("gf(pod)")
+        first = evaluate(node, 1000)
+        sizes = []
+        init = Series.__init__
+
+        def counted(self, coeffs):
+            coeffs = tuple(coeffs)
+            sizes.append(len(coeffs))
+            init(self, coeffs)
+
+        monkeypatch.setattr(Series, "__init__", counted)
+        assert evaluate(node, 1000) is first
+        assert sizes == []
+
     def test_each_order_has_its_own_entry(self, cold_memo):
         node = parse("gf(pod)")
         for order in (40, 41):
@@ -343,7 +359,7 @@ class TestMemo:
 
     def test_a_base_other_than_1_is_not_stored(self, cold_memo):
         base = expand("1 - q^1", ORDER)
-        assert series.eta_quotient(base, {1: -1}) == reference_evaluate(parse("(1 - q^1) * gf(p)"), ORDER)
+        assert series.eta_quotient({1: -1}, ORDER, base) == reference_evaluate(parse("(1 - q^1) * gf(p)"), ORDER)
         assert not cold_memo.entries
 
     def test_eviction_keeps_the_byte_bound(self, cold_memo, monkeypatch):
@@ -390,7 +406,7 @@ class TestEtaKernels:
             order = rng.randint(0, 90)
             exponents = {rng.randint(1, 6): rng.randint(-7, 7) for _ in range(rng.randint(0, 3))}
             base = Series([rng.randint(-5, 5) for _ in range(order + 1)])
-            assert series.eta_quotient(base, exponents) == schoolbook(base, exponents), exponents
+            assert series.eta_quotient(exponents, order, base) == schoolbook(base, exponents), exponents
 
     @pytest.mark.parametrize("seed", range(4))
     def test_stride_chains_equal_the_schoolbook_product(self, seed):
@@ -402,24 +418,24 @@ class TestEtaKernels:
             chain = rng.choice([(b, 2 * b, 4 * b), (3, 6, 12)])
             exponents = {k: rng.randint(-7, 7) for k in chain}
             base = Series([rng.randint(-5, 5) for _ in range(order + 1)])
-            assert series.eta_quotient(base, exponents) == schoolbook(base, exponents), exponents
+            assert series.eta_quotient(exponents, order, base) == schoolbook(base, exponents), exponents
 
     def test_large_exponents_take_one_pass(self):
         started = time.perf_counter()
-        got = series.eta_quotient(constant(1, 200), {1: 10**6})
+        got = series.eta_quotient({1: 10**6}, 200)
         assert time.perf_counter() - started < 0.5
         assert got[1] == -(10**6)
         assert got[2] == 10**6 * (10**6 - 3) // 2
 
     def test_a_stride_past_the_order_is_one(self):
         # no cost is taken of a stride too large for a float
-        got = series.eta_quotient(constant(1, 40), {1: -1, 10**400: 1, 3 * 10**400: -2})
+        got = series.eta_quotient({1: -1, 10**400: 1, 3 * 10**400: -2}, 40)
         assert got == reference_inverse(reference_pochhammer(1, 1, 1, 40))
 
     @pytest.mark.parametrize("etas", [{1: 10**6, 2: -10**6}, {1: -10**6, 2: 2 * 10**6}])
     def test_large_exponents_on_a_chain_are_two_miller_factors(self, etas):
         started = time.perf_counter()
-        got = series.eta_quotient(constant(1, 200), etas)
+        got = series.eta_quotient(etas, 200)
         assert time.perf_counter() - started < 0.5
         # Miller's expansions of (q; q)^a1 and (q^2; q^2)^a2, multiplied
         halves = [0] * 201
@@ -453,7 +469,15 @@ class TestEtaKernels:
             "float-key", "integral-float-key", "str-key"])
     def test_bad_vectors_are_refused(self, etas, error, message):
         with pytest.raises(error, match=f"^{message}$"):
-            series.eta_quotient(constant(1, 40), etas)
+            series.eta_quotient(etas, 40)
+
+    @pytest.mark.parametrize("order, base, message", [
+        (-1, None, "order must be >= 0, got -1"),
+        (41, constant(1, 40), "base order 40 differs from order 41"),
+    ])
+    def test_bad_orders_are_refused(self, order, base, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            series.eta_quotient({1: 1}, order, base)
 
 
 def row_factors(row):
@@ -678,7 +702,7 @@ class TestPlanner:
         seen = set()
         kernel = dsl.eta_quotient
         monkeypatch.setattr(
-            dsl, "eta_quotient", lambda base, etas: seen.add(tuple(sorted(etas.items()))) or kernel(base, etas))
+            dsl, "eta_quotient", lambda etas, *rest: seen.add(tuple(sorted(etas.items()))) or kernel(etas, *rest))
         for rec in bundled_manifest():
             for text in (rec.lhs, rec.rhs):
                 evaluate(parse(text), 300)
@@ -732,7 +756,7 @@ class TestPlanner:
     def test_miller_passes_come_first(self, dense_products, cold_memo, etas, products):
         # on a base of 1 the first Miller pass is a product by a constant,
         # a scale and no dense product; a row pass before it would force one
-        series.eta_quotient(constant(1, 200), etas)
+        series.eta_quotient(etas, 200)
         assert len(dense_products) == products
 
     def test_a_lone_leftover_past_3_is_one_miller_pass(self):

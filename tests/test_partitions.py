@@ -1,6 +1,7 @@
 import pytest
 
-from conftest import reference_count
+from conftest import iter_objects, reference_count, reference_weight
+from podium import partitions
 from podium.partitions import (
     DEFAULT_CAPS,
     HARD_CAPS,
@@ -102,6 +103,16 @@ class TestWalkMatchesReference:
         # one walk up to the cap, and one walk per n when no cap is passed
         assert [count_by_enumeration(fid, n, cap=cap) for n in range(cap + 1)] == expected
         assert [count_by_enumeration(fid, n) for n in range(cap + 1)] == expected
+
+    @pytest.mark.parametrize("fid", list(FunctionId), ids=lambda f: f.value)
+    def test_weight_equals_its_plain_definition(self, fid):
+        # every object the rule's slots make, largest part first as the walk
+        # builds it; eo and eobar have one color, so no size repeats
+        rule = partitions._RULES[fid]
+        reference = reference_weight(fid)
+        limit = 12 if fid is FunctionId.P3 else 20
+        objects = [parts for n in range(limit + 1) for parts in iter_objects(n, rule.slots(limit))]
+        assert [rule.weight(parts) for parts in objects] == [reference(parts) for parts in objects]
 
     def test_override_cap(self):
         cap = DEFAULT_CAPS[FunctionId.QODD] + 3
