@@ -92,6 +92,21 @@ echo "== expand at order 8000 a product merged by residue class, against its Eul
 PYTHONPATH=src python3 -m podium.cli expand "poch(q^3, q^4) * poch(q^1, q^4)" --order 8000 > "$tmp/residue.txt"
 echo "738a5fa1d93b6fdbdb7bfc04a3cb4c4e086ca800b0c70440b5dbcf783f8a367a  $tmp/residue.txt" | sha256sum --check
 
+echo "== expand theta sums at order 8000, four lowered by the Jacobi triple product and two summed"
+# these sha256 were pinned when every theta was summed term by term; the
+# first four are eta quotients now, the last two (f(1, q^2) and
+# f(q^7, q)) are not and are still summed
+for pin in \
+    "2b9daa3ba8ce81966784443a9f6a056190b16b4132409b7217debc46dbcc6946=theta{n in Z}(1; n*n)" \
+    "0319355d2a082a8b5e7fe881fb9b6d54ae570c08cf3e153b5cdc2315a1d40af3=theta{n in N}((-1)^(ceil2(n)); (n*(n+1)) div 2)" \
+    "028ce7b52b212a6c7ff40daa8297e116dc6c69b65f68348a9d70a794333fd2e0=theta{n in Z}(1; (n*(3*n+1)) div 2)" \
+    "c385786f6472c4d752a4aaed2d1d33c4b793af4a8909f73b92913d81cf3c2895=gf(pod) * theta{j in N}(1; (j*(j+1)) div 2)" \
+    "d5ad057dcba8df7a5c81d6edb3d67376af92f277ad5efb79306d7268b75c2d35=theta{n in Z}(1; n*n + n)" \
+    "29056db5082e9e1abcfcba81f16c7efcc4c9cb94423266892a84fcabef460dbc=theta{n in Z}(1; 4*n*n + 3*n)"; do
+  PYTHONPATH=src python3 -m podium.cli expand "${pin#*=}" --order 8000 > "$tmp/theta.txt"
+  echo "${pin%%=*}  $tmp/theta.txt" | sha256sum --check
+done
+
 echo "== refuse a huge power of a dense base at once, exit 2 within 10 s"
 # (1 - q)^k is no eta quotient, so Series.power bounds its work before the first product
 nines=$(printf '9%.0s' {1..60})  # 10^60 - 1

@@ -63,12 +63,18 @@ every poch in it is one.  The rewrites, all classical:
   factors are the vector a_d = c(d) - sum_{e | d, e < d} a_e over the
   divisors d of M (S. Robins, Contemp. Math. 166, 1994), so
   (q; q^4) (q^3; q^4) is (q; q^2) = {1: 1, 2: -1}; otherwise they stay
-  as they are.
+  as they are;
+* a theta sum whose exponent is A n^2 + B n, every div in it exact, and
+  whose weight is +1 or -1 on each class n = 4m + r, is a Jacobi triple
+  product f(a, b) = (-a; ab) (-b; ab) (ab; ab) when it is f(+-q^u, +-q^v)
+  over Z, u = A + B >= 1 and v = A - B >= 1, read by the rule above, or
+  psi(+-q^2A) over N with A = B; a weight (-1)^e(n) is q -> -q.
 
-Anything else has no normal form: theta sums, polynomials, other
-constants, sums, and a poch that is no eta quotient, such as (q; q^4)
-alone.  The sparse eta kernels of :mod:`podium.series` expand a whole
-eta quotient, through that module's memo, and apply the merged eta
+Anything else has no normal form: other theta sums (a weight such as
+2n+1, an exponent with a ceil2, n^2 + n, which is f(q^2, 1), or one
+that is constant), polynomials, other constants, sums, and a poch that
+is no eta quotient, such as (q; q^4) alone.  The sparse eta kernels of
+:mod:`podium.series` expand a whole eta quotient, through that module's memo, and apply the merged eta
 factors of a product chain to the product of its other factors; the
 rest is walked node by node, so errors and their messages are the
 walk's.  Below order NEWTON_BASE (32), the series layer's own switch
@@ -477,24 +483,29 @@ def _ieval(node: IExpr, value):
 
 
 class _OnClass:
-    """A theta body on the class n = 2m + r, as sum_i c[i] m^i / d, d >= 1.
+    """A theta body on the class n = s*m + r, as sum_i c[i] m^i / d, d >= 1.
 
-    _ieval runs on it as on an int, with n = _OnClass([r, 2], 1, r).  "div"
-    and "//" divide exactly: ceil2 halves only even values, and the scan
-    finds an inexact div.  "% 2" is the parity, fixed on the class or an
+    _ieval runs on it as on an int, with n = _OnClass([r, s], 1, r, s).
+    "div" and "//" divide exactly: ceil2 halves only even values, and the
+    scan finds an inexact div.  `exact` says whether every div that made
+    the value is an integer at every m; past degree 2 that is not checked,
+    and reads False.  "% 2" is the parity, fixed on the class or an
     EvalError: m^i and m have one parity, so with integer coefficients a
     it is that of a[0] + m*sum(a[1:]).  A product past 2^16 bits is refused.
     """
 
-    def __init__(self, c: list, d: int, r: int):
-        self.c, self.d, self.r = c, d, r
+    def __init__(self, c: list, d: int, r: int, stride: int = 2, exact: bool = True):
+        self.c, self.d, self.r, self.stride, self.exact = c, d, r, stride, exact
+
+    def _new(self, c: list, d: int, exact: bool) -> "_OnClass":
+        return _OnClass(c, d, self.r, self.stride, exact)
 
     def _lift(self, x) -> "_OnClass":
-        return x if isinstance(x, _OnClass) else _OnClass([x], 1, self.r)
+        return x if isinstance(x, _OnClass) else self._new([x], 1, True)
 
     def _plus(self, x: "_OnClass", sign: int) -> "_OnClass":
         c = [u * x.d + sign * v * self.d for u, v in zip_longest(self.c, x.c, fillvalue=0)]
-        return _OnClass(c, self.d * x.d, self.r)
+        return self._new(c, self.d * x.d, self.exact and x.exact)
 
     def __add__(self, x):
         return self._plus(self._lift(x), 1)
@@ -515,21 +526,49 @@ class _OnClass:
         d = self.d * x.d
         if sum(map(int.bit_length, out)) + d.bit_length() > 1 << 16:
             raise EvalError("theta exponent is too large to read")
-        return _OnClass(out, d, self.r)
+        return self._new(out, d, self.exact and x.exact)
 
     def __floordiv__(self, k: int) -> "_OnClass":
-        return _OnClass(self.c, self.d * k, self.r)
+        return self._new(self.c, self.d * k, self.exact)
 
     def __divmod__(self, k: int):
-        return self // k, 0
+        # an integer-valued polynomial of degree <= 2 is one at m = 0, 1, 2
+        c, d = self.c, self.d * k
+        exact = self.exact and not any(c[3:]) and all(
+            sum(u * m**i for i, u in enumerate(c)) % d == 0 for m in (0, 1, 2))
+        return self._new(c, d, exact), 0
 
-    def __mod__(self, two: int) -> int:
+    def __mod__(self, two: int) -> "_OnClass":
         if any(u % self.d for u in self.c) or sum(self.c[1:]) // self.d % 2:
             why = "cannot fix a ceil2 or (-1)^ argument's parity"
-            raise EvalError(f"theta exponent: {why} on n = 2m + {self.r}")
-        return self.c[0] // self.d % 2
+            raise EvalError(f"theta exponent: {why} on n = {self.stride}m + {self.r}")
+        return self._new([self.c[0] // self.d % 2], 1, self.exact)
 
     __radd__, __rmul__ = __add__, __mul__
+
+
+@lru_cache(maxsize=256)
+def _read(node: IExpr, stride: int) -> tuple:
+    """A theta body read by _ieval on each class n = stride*m + r, in
+    order of r, as (classes, exact, error).  `classes` holds each class's
+    (c, d), c without trailing zeros, up to the first class whose reading
+    raises an EvalError; `error` is that error's message, else None;
+    `exact` says whether every div is an integer on every class.  Cached,
+    so the walk's exponent check and the lowering of a theta read a body
+    once.
+    """
+    classes, exact = [], True
+    for r in range(stride):
+        try:
+            x = _OnClass([0], 1, r, stride) + _ieval(node, _OnClass([r, stride], 1, r, stride))
+        except EvalError as exc:
+            return tuple(classes), False, str(exc)
+        c = x.c
+        while c and not c[-1]:
+            c = c[:-1]
+        classes.append((tuple(c), x.d))
+        exact = exact and x.exact
+    return tuple(classes), exact, None
 
 
 def _check_exponent(exponent: IExpr) -> None:
@@ -540,18 +579,20 @@ def _check_exponent(exponent: IExpr) -> None:
     the one before; that is exact only if the exponent never turns
     downward on its class after it.  The exponent is read on each class as
     a polynomial in m by _ieval itself, the evaluation that the scan sums
-    (see _OnClass).  A quadratic with a positive leading coefficient never
-    turns downward; a falling line is refused by the scan when it turns
-    negative, and a constant at or below the order when the scan runs out.
-    A falling quadratic or any higher degree is refused here.
+    (see _OnClass and _read).  A quadratic with a positive leading
+    coefficient never turns downward; a falling line is refused by the
+    scan when it turns negative, and a constant at or below the order when
+    the scan runs out.  A falling quadratic or any higher degree is
+    refused here.
     """
-    for r in (0, 1):
-        c = (_OnClass([0], 1, r) + _ieval(exponent, _OnClass([r, 2], 1, r))).c
-        degree = max((i for i, u in enumerate(c) if u), default=0)
-        if degree > 2:
-            raise EvalError(f"theta exponent has degree {degree}; it must be at most 2")
-        if degree == 2 and c[2] < 0:
+    classes, _, error = _read(exponent, 2)
+    for c, _ in classes:
+        if len(c) > 3:
+            raise EvalError(f"theta exponent has degree {len(c) - 1}; it must be at most 2")
+        if len(c) == 3 and c[2] < 0:
             raise EvalError("theta exponent is a quadratic that falls without bound")
+    if error is not None:
+        raise EvalError(error)
 
 
 # ----------------------------------------------------------------------
@@ -606,8 +647,9 @@ def normal_form(node: Expr) -> Optional[Etas]:
 
     Returns {b: a_b}, with no zero exponents, such that node ==
     prod_b (q^b; q^b)_oo^{a_b} at every order, when node is built from
-    eta-type poch, gf and the constant 1 by product chains, "^" and subst
-    alone; anything else in it (a theta sum, a polynomial, another
+    eta-type poch, gf, theta sums that are Jacobi triple products
+    (_theta_etas) and the constant 1 by product chains, "^" and subst
+    alone; anything else in it (another theta sum, a polynomial, another
     constant, a sum chain, a poch such as (q; q^4)) makes the answer None.
     """
     if isinstance(node, Poch):
@@ -623,6 +665,9 @@ def normal_form(node: Expr) -> Optional[Etas]:
     if isinstance(node, Chain) and not node.is_sum:
         etas, others = _merge(node.operands)
         return None if others else etas
+    if isinstance(node, Theta):
+        etas = _theta_etas(node)
+        return None if etas is None else dict(etas)
     return {} if node == IntLit(1) else None
 
 
@@ -667,6 +712,77 @@ def _residue_etas(pochs) -> Optional[Etas]:
     return {d: a for d, a in etas.items() if a}
 
 
+def _quadratic(classes: tuple) -> Optional[Tuple[int, int]]:
+    """(S, D) if an exponent read on both classes n = 2m + r (see _read)
+    is (S n^2 + D n) / 2, else None."""
+    if any(len(c) > 3 for c, _ in classes):
+        return None
+    classes = [(c + (0,) * (3 - len(c)), d) for c, d in classes]
+    (_, c1, c2), d = classes[0]
+    if c2 % (2 * d) or c1 % d:
+        return None
+    s, t = c2 // (2 * d), c1 // d
+    for r, (c, d) in enumerate(classes):
+        # 2 e(2m + r) = S (2m + r)^2 + D (2m + r), as a polynomial in m
+        if [2 * u for u in c] != [w * d for w in (s * r * r + t * r, 4 * s * r + 2 * t, 4 * s)]:
+            return None
+    return s, t
+
+
+@lru_cache(maxsize=256)
+def _theta_etas(node: Theta) -> Optional[Etas]:
+    """A theta sum as an eta quotient, or None if it is not read as one.
+
+    The exponent must be e(n) = A n^2 + B n, read as _check_exponent
+    reads it, on n = 2m + r, with every div exact; the weight must be +1
+    or -1 on each class n = 4m + r.  By the Jacobi triple product
+    f(a, b) = (-a; ab) (-b; ab) (ab; ab) (B. C. Berndt, Ramanujan's
+    Notebooks III, Ch. 16, Entries 19 and 22):
+
+    * over Z, with u = A + B >= 1 and v = A - B >= 1, the weight 1 gives
+      f(q^u, q^v) and (-1)^n gives f(-q^u, -q^v): f(+-q^u', +-q^v') under
+      q -> q^g, g = gcd(u, v), with its three factors read by _residue_etas;
+    * over N, with A = B, the weight 1 gives psi(q^2A) and (-1)^(n(n+1)/2)
+      gives psi(-q^2A), psi(q) being (q^2; q^2)^2 / (q; q);
+
+    and either times the weight (-1)^e(n) is the same sum under q -> -q.
+    Anything else is None.  A theta that the walk refuses has an inexact
+    div or a reading error, so it is never lowered, and its error stays
+    the walk's.
+    """
+    classes, exact, error = _read(node.exponent, 2)
+    found = _quadratic(classes) if exact and error is None else None
+    if found is None:
+        return None
+    s, t = found  # e(n) = (s n^2 + t n) / 2, an integer at every n
+    u, v = (s + t) // 2, (s - t) // 2
+    over_z = node.domain is Domain.ALL_INTEGERS
+    if u < 1 or (v < 1 if over_z else v != 0):
+        return None
+    classes, exact, error = _read(node.weight, 4)
+    if not exact or error is not None:
+        return None
+    signs = tuple(c[0] // d if len(c) == 1 and abs(c[0]) == d else 0 for c, d in classes)
+    for sign, flip in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+        # sign^n over Z or sign^(n(n+1)/2) over N, times flip^e(n)
+        want = tuple(sign ** (r if over_z else r * (r + 1) // 2) * flip ** ((s * r * r + t * r) // 2)
+                     for r in range(4))
+        if signs != want:
+            continue
+        if not over_z:
+            etas = _substituted({1: -1, 2: 2}, u, sign)
+        else:
+            g = math.gcd(u, v)
+            a, b = u // g, v // g
+            triple = (Poch(-sign, a, a + b), Poch(-sign, b, a + b), Poch(1, a + b, a + b))
+            etas = _residue_etas([("*", poch) for poch in triple])
+            if etas is None:
+                return None
+            etas = _substituted(etas, g, 1)
+        return etas if flip == 1 else _substituted(etas, 1, -1)
+    return None
+
+
 def _merge(factors) -> Tuple[Etas, list]:
     """The merged vector of the (op, factor) pairs of a product chain that
     have a normal form, and the pairs that have none, in order.  The
@@ -708,9 +824,13 @@ def evaluate(node: Expr, order: int) -> Series:
     From order NEWTON_BASE on, the sparse eta kernels take an eta
     quotient as a whole (see normal_form), and the eta-quotient factors
     of a product chain: their vectors are merged and applied once, to the
-    walked product of the other factors.  Everything else, and everything
-    below NEWTON_BASE, is walked node by node, so errors and their
-    messages are the walk's.
+    walked product of the other factors.  A theta sum that is a Jacobi
+    triple product is such a factor, so gf(pod) times psi(q) is one
+    vector; a theta is lowered only where its walk could not fail.
+    Everything else, and everything below NEWTON_BASE, is walked node by
+    node, and a walked theta is summed term by term by
+    podium.theta.theta_series, so errors and their messages are the
+    walk's.
 
     gf(f) is its product form, evaluated here like any other text; it
     has no cache of its own.  A whole eta quotient is expanded on a base

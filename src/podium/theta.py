@@ -1,4 +1,8 @@
-"""Theta-type sums: the one evaluator behind every theta{...} expression.
+"""Theta-type sums: the term-by-term evaluator behind theta{...} text.
+
+podium.dsl sums a theta here when it is no eta quotient, and at every
+order below podium.series.NEWTON_BASE; from that order on, a theta that
+is a Jacobi triple product, such as phi or psi, goes to the eta kernels.
 
 A theta-type sum here is sum_n w(n) * q^{e(n)} taken over the integers or
 the non-negative integers, where e is an integer-valued quadratic and w an
