@@ -124,6 +124,21 @@ timeout 10 env PYTHONPATH=src python3 -m podium.cli expand "(1 + q^1000)^100000"
 [ "$(tr ' ' '\n' < "$tmp/sparse.txt" | tail -n 1)" = 100000 ]
 echo "502dbcbfde97443320b9a8078d6ad6ad4b138d6a9d13004b9456665daab6b4dc  $tmp/sparse.txt" | sha256sum --check
 
+echo "== refuse one malformed text per parse error message, one stderr line and exit 2 each"
+# unexpected character, unexpected token, end of input, literal too long,
+# must be >= 1, unknown gf name, unbound variable, "(-" other than (-1)^,
+# deeper than 100 levels and unexpected trailing, in that order
+nines=$(printf '9%.0s' {1..5000})
+deep=$(printf '(%.0s' {1..101})q^1$(printf ')%.0s' {1..101})
+: > "$tmp/errors.txt"
+for text in "poch(q^1, q^1) @ 2" "poch(q^1 q^1)" "gf(pod" "q^1^$nines" "q^0" "gf(nosuch)" \
+    "theta{n in Z}(1; m*m)" "theta{n in N}(1; (-2))" "$deep" "gf(pod) 2"; do
+  status=0
+  PYTHONPATH=src python3 -m podium.cli expand "$text" --order 10 > /dev/null 2>> "$tmp/errors.txt" || status=$?
+  echo "exit $status" >> "$tmp/errors.txt"
+done
+echo "5fbf76d00d45aab95c017c63a3e073a750d9dab1ebf1f35efda3c1b5951bdf69  $tmp/errors.txt" | sha256sum --check
+
 echo "== check every enumeration oracle at its default cap, and the weighted rows at higher caps"
 PYTHONPATH=src python3 -m podium.cli oracle > "$tmp/oracle.txt"
 echo "80cc7a810a5479b6b83ee62f62ebc43dc985a4d7479a13e80b8e0239be0b433c  $tmp/oracle.txt" | sha256sum --check

@@ -21,11 +21,18 @@ associative), then "+" and "-": "-2^2" is -(2^2) = -4, and "(-2)^2" is
 4.  INT and UINT are ASCII digits 0-9 only.  A token is a run of such
 digits, a word (a letter or "_", then letters, digits or "_") or one
 symbol of -+*/^(){},; and only space, tab, CR and LF may separate
-tokens.  The operators of one level, in a theta body too, make one flat
-Chain node read left to right; "div" is exact integer division and
-errors on any remainder, and "ceil2" is the mathematical ceiling of
-half.  Parse errors carry the byte offset of the offending token and
-the set of tokens that would have been accepted.
+tokens.  One regular-expression pass (findall) gives the token texts
+of the whole text, and the parser reads that list, a token's kind by
+its first character; for ASCII text the pass is the lexer when its
+tokens and whitespace add up to the text's length.  Other text, and an
+error's offset, go through tokenize, which gives each token's kind and
+offset and finds the first character that starts no token, or a word
+that starts with no letter, such as "²".  The operators of one level,
+in a theta body too, make one flat Chain node read left to right;
+"div" is exact integer division and errors on any remainder, and
+"ceil2" is the mathematical ceiling of half.  Parse errors carry the
+byte offset of the offending token and the set of tokens that would
+have been accepted.
 
 A theta exponent must be, on each parity class n = 2m + r, a polynomial
 in m of degree at most 2 and not a falling quadratic, since the theta
@@ -88,7 +95,6 @@ import enum
 import math
 import operator
 import re
-from collections import namedtuple
 from functools import lru_cache
 from itertools import zip_longest
 from typing import Dict, Optional, Tuple, Union
@@ -195,31 +201,45 @@ Expr = Union[IntLit, QPow, Poch, GfRef, Subst, Chain, Pow, Neg, Theta]
 # lexer
 # ----------------------------------------------------------------------
 
-# Whitespace, then an ASCII integer, a word or a symbol; the group that
-# matched is the token's kind.  Nothing matched means end of input or an
-# unexpected character.
-_TOKEN = re.compile(r"[ \t\r\n]*(?:(?P<int>[0-9]+)|(?P<name>\w+)|(?P<sym>[-+*/^(){},;]))?")
+# Whitespace, then an ASCII integer, a word, a symbol or the end of the
+# text, which is the empty token.  findall skips what matches nowhere.
+_TOKEN = re.compile(r"[ \t\r\n]*([0-9]+|\w+|[-+*/^(){},;]|\Z)")
+_KINDS = {"": "end", **dict.fromkeys("0123456789", "int"), **dict.fromkeys("-+*/^(){},;", "sym")}
 
-Token = namedtuple("Token", "kind text offset")  # kind: "int" | "name" | "sym" | "end"
+
+def _kind(word: str) -> Optional[str]:
+    """A token's kind by its first character, or None for a word that
+    starts with no letter or "_", such as "²"."""
+    first = word[:1]
+    return "name" if first.isalpha() or first == "_" else _KINDS.get(first)
 
 
 def tokenize(text: str) -> list:
-    tokens = []
-    pos = 0
-    while True:
-        match = _TOKEN.match(text, pos)
-        kind, pos = match.lastgroup, match.end()
-        if kind is None:
+    """Every token as (kind, text, offset), ending with ("end", "",
+    len(text)); text that is no token's is a ParseError at its offset."""
+    tokens, pos = [], 0
+    for match in _TOKEN.finditer(text):
+        kind = _kind(match[1])
+        if match.start() > pos or kind is None:  # skipped text, or a word such as "²"
             break
-        word = match[kind]
-        if kind == "name" and not (word[0].isalpha() or word[0] == "_"):
-            pos = match.start(kind)  # a digit that is not ASCII, such as "²"
-            break
-        tokens.append(Token(kind, word, match.start(kind)))
-    if pos < len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}", pos)
-    tokens.append(Token("end", "", pos))
-    return tokens
+        tokens.append((kind, match[1], match.start(1)))
+        pos = match.end()
+        if kind == "end":
+            return tokens
+    pos = len(text) - len(text[pos:].lstrip(" \t\r\n"))
+    raise ParseError(f"unexpected character {text[pos]!r}", pos)
+
+
+def _lex(text: str) -> list:
+    """The token texts, the last one "", the end of input.  ASCII text is
+    lexed when its tokens and whitespace add up to its length; tokenize
+    lexes any other text and finds its bad character."""
+    if text.isascii():
+        words = _TOKEN.findall(text)
+        spaces = text.count(" ") + text.count("\n") + text.count("\t") + text.count("\r")
+        if sum(map(len, words)) + spaces == len(text):
+            return words
+    return [word for _, word, _ in tokenize(text)]
 
 
 # ----------------------------------------------------------------------
@@ -227,21 +247,27 @@ def tokenize(text: str) -> list:
 # ----------------------------------------------------------------------
 
 class _Parser:
+    # `t` holds the token texts and `i` indexes the next one; a token's
+    # kind is read from its text, and its offset only for an error.
     # `nesting` counts the levels still open, so deep text is refused on
-    # the way down, before the parser's own recursion is deep.  Tokens are
-    # matched by text alone: no two kinds of token share one.
+    # the way down, before the parser's own recursion is deep.
 
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
-        self.pos = 0
+        self.text = text
+        self.t = _lex(text)
+        self.i = 0
         self.nesting = 0
         self.var = ""  # the theta variable, while a theta body is parsed
 
-    def nested(self, tok: Token, parse, close: str = ""):
-        """Run `parse` one level inside the construct opened at `tok`, then
-        expect `close` if given; past MAX_DEPTH levels is an error at `tok`."""
+    def offset(self, i: int) -> int:
+        return tokenize(self.text)[i][2]
+
+    def nested(self, at: int, parse, close: str = ""):
+        """Run `parse` one level inside the construct opened at token `at`,
+        then expect `close` if given; past MAX_DEPTH levels is an error at
+        `at`."""
         if self.nesting == MAX_DEPTH:
-            raise ParseError(f"expression deeper than {MAX_DEPTH} levels", tok.offset)
+            raise ParseError(f"expression deeper than {MAX_DEPTH} levels", self.offset(at))
         self.nesting += 1
         node = parse()
         self.nesting -= 1
@@ -249,45 +275,34 @@ class _Parser:
             self.expect(close)
         return node
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def at(self, *texts) -> bool:
-        return self.tokens[self.pos].text in texts
-
     def fail(self, expected: Tuple[str, ...]):
-        tok = self.peek()
-        got = repr(tok.text) if tok.kind != "end" else "end of input"
-        raise ParseError(f"unexpected {got}", tok.offset, expected)
+        tok = self.t[self.i]
+        got = repr(tok) if tok else "end of input"
+        raise ParseError(f"unexpected {got}", self.offset(self.i), expected)
 
-    def expect(self, text: str) -> Token:
-        if not self.at(text):
+    def expect(self, text: str) -> None:
+        if self.t[self.i] != text:
             self.fail((repr(text),))
-        return self.advance()
+        self.i += 1
 
     def sign(self) -> int:
         """-1 after an optional "-", which is consumed, else 1."""
-        if self.at("-"):
-            self.advance()
+        if self.t[self.i] == "-":
+            self.i += 1
             return -1
         return 1
 
     def expect_int(self, minimum: int = 0) -> int:
-        tok = self.peek()
-        if tok.kind != "int":
+        tok = self.t[self.i]
+        if not tok.isdigit():
             self.fail(("integer",))
         try:
-            value = int(tok.text)
+            value = int(tok)
         except ValueError:  # past the interpreter's limit on digits per int
-            raise ParseError("integer literal too long", tok.offset) from None
+            raise ParseError("integer literal too long", self.offset(self.i)) from None
         if value < minimum:
-            raise ParseError(f"integer must be >= {minimum}", tok.offset)
-        self.advance()
+            raise ParseError(f"integer must be >= {minimum}", self.offset(self.i))
+        self.i += 1
         return value
 
     def expect_q_power(self) -> int:
@@ -295,18 +310,20 @@ class _Parser:
         self.expect("^")
         return self.expect_int(1)
 
-    def chain(self, operand, ops) -> Expr:
-        """Parse `operand (op operand)*` as one Chain, or the lone operand.
-        `ops` maps each operator's text to the parser of its operand.  A
-        first operand that is a bracketed chain of the same level is spliced
-        in, so "(a - b) - c" gives the tree of "a - b - c", as it reads."""
+    def chain(self, operand, ops: Tuple[str, str]) -> Expr:
+        """Parse `operand (op operand)*` for the op texts `ops` as one Chain,
+        or the lone operand; the operand of "div" is an IntLit.  A first
+        operand that is a bracketed chain of the same level is spliced in,
+        so "(a - b) - c" gives the tree of "a - b - c", as it reads."""
         first = operand()
-        rest = []
-        while self.peek().text in ops:
-            op = self.advance().text
-            rest.append((op, ops[op]()))
-        if not rest:
+        t = self.t
+        if t[self.i] not in ops:
             return first
+        rest = []
+        while t[self.i] in ops:
+            op = t[self.i]
+            self.i += 1
+            rest.append((op, IntLit(self.expect_int(1)) if op == "div" else operand()))
         if isinstance(first, Chain) and first.rest[0][0] in ops:
             return Chain(first.first, first.rest + tuple(rest))
         return Chain(first, tuple(rest))
@@ -314,139 +331,135 @@ class _Parser:
     # ---- series expressions ----
 
     def parse_expr(self) -> Expr:
-        return self.chain(self.parse_term, {"+": self.parse_term, "-": self.parse_term})
+        return self.chain(self.parse_term, ("+", "-"))
 
     def parse_term(self) -> Expr:
-        return self.chain(self.parse_factor, {"*": self.parse_factor, "/": self.parse_factor})
+        return self.chain(self.parse_factor, ("*", "/"))
 
     def parse_factor(self) -> Expr:
-        if self.at("-"):
-            return Neg(self.nested(self.advance(), self.parse_factor))
+        if self.t[self.i] == "-":
+            self.i += 1
+            return Neg(self.nested(self.i - 1, self.parse_factor))
         node = self.parse_base()
-        if self.at("^"):
-            self.advance()
+        if self.t[self.i] == "^":
+            self.i += 1
             node = Pow(node, self.sign() * self.expect_int())
         return node
 
     def parse_base(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "int":
-            return IntLit(self.expect_int())
-        if self.at("("):
-            return self.nested(self.advance(), self.parse_expr, ")")
-        if self.at("q"):
+        tok = self.t[self.i]
+        if tok == "(":
+            self.i += 1
+            return self.nested(self.i - 1, self.parse_expr, ")")
+        if tok == "q":
             return QPow(self.expect_q_power())
-        if self.at("poch"):
-            return self.parse_poch()
-        if self.at("gf"):
+        if tok == "poch":
+            self.i += 1
+            self.expect("(")
+            sign = self.sign()
+            a = self.expect_q_power()
+            self.expect(",")
+            b = self.expect_q_power()
+            self.expect(")")
+            return Poch(sign, a, b)
+        if tok == "gf":
             return self.parse_gfref()
-        if self.at("subst"):
+        if tok == "subst":
             return self.parse_subst()
-        if self.at("theta"):
+        if tok == "theta":
             return self.parse_theta()
+        if tok.isdigit():
+            return IntLit(self.expect_int())
         self.fail(("integer", "'q'", "'poch'", "'gf'", "'subst'", "'theta'", "'('", "'-'"))
 
-    def parse_poch(self) -> Expr:
-        self.expect("poch")
-        self.expect("(")
-        sign = self.sign()
-        a = self.expect_q_power()
-        self.expect(",")
-        b = self.expect_q_power()
-        self.expect(")")
-        return Poch(sign, a, b)
-
     def parse_gfref(self) -> Expr:
-        self.expect("gf")
+        self.i += 1
         self.expect("(")
-        tok = self.peek()
-        if tok.kind != "name":
+        tok = self.t[self.i]
+        if _kind(tok) != "name":
             self.fail(("function name",))
-        try:
-            fid = FunctionId.from_name(tok.text)
-        except ValueError:
-            known = ", ".join(f.value for f in FunctionId)
-            raise ParseError(
-                f"unknown gf name {tok.text!r}", tok.offset, (known,)
-            ) from None
-        self.advance()
+        fid = _FUNCTIONS.get(tok)
+        if fid is None:
+            known = ", ".join(_FUNCTIONS)
+            raise ParseError(f"unknown gf name {tok!r}", self.offset(self.i), (known,))
+        self.i += 1
         self.expect(")")
         return GfRef(fid)
 
     def parse_subst(self) -> Expr:
-        tok = self.expect("subst")
+        at = self.i
+        self.i += 1
         self.expect("(")
-        child = self.nested(tok, self.parse_expr, ",")
+        child = self.nested(at, self.parse_expr, ",")
         sign = self.sign()
         k = self.expect_q_power()
         self.expect(")")
         return Subst(child, k, sign)
 
     def parse_theta(self) -> Expr:
-        theta = self.expect("theta")
+        at = self.i
+        self.i += 1
         self.expect("{")
-        tok = self.peek()
-        if tok.kind != "name":
+        var = self.t[self.i]
+        if _kind(var) != "name":
             self.fail(("variable name",))
-        var = self.advance().text
+        self.i += 1
         self.expect("in")
-        if not self.at("Z", "N"):
+        if self.t[self.i] not in ("Z", "N"):
             self.fail(("'Z'", "'N'"))
-        domain = Domain(self.advance().text)
+        domain = Domain(self.t[self.i])
+        self.i += 1
         self.expect("}")
         self.expect("(")
         self.var = var
-        weight = self.nested(theta, self.parse_iexpr, ";")
-        exponent = self.nested(theta, self.parse_iexpr, ")")
+        weight = self.nested(at, self.parse_iexpr, ";")
+        exponent = self.nested(at, self.parse_iexpr, ")")
         return Theta(domain, var, weight, exponent)
 
     # ---- integer expressions inside theta, in the variable self.var ----
 
     def parse_iexpr(self) -> IExpr:
-        return self.chain(self.parse_iterm, {"+": self.parse_iterm, "-": self.parse_iterm})
+        return self.chain(self.parse_iterm, ("+", "-"))
 
     def parse_iterm(self) -> IExpr:
-        ops = {"*": self.parse_ifact, "div": lambda: IntLit(self.expect_int(1))}
-        return self.chain(self.parse_ifact, ops)
+        return self.chain(self.parse_ifact, ("*", "div"))
 
     def parse_ifact(self) -> IExpr:
-        tok = self.peek()
-        if tok.kind == "int":
+        at = self.i
+        tok = self.t[at]
+        kind = _kind(tok)
+        if kind == "int":
             return IntLit(self.expect_int())
-        if tok.kind == "name" and tok.text != "ceil2":
-            if tok.text != self.var:
-                raise ParseError(
-                    f"unbound variable {tok.text!r}", tok.offset, (repr(self.var),)
-                )
-            self.advance()
-            return IVar(tok.text)
-        if not self.at("ceil2", "("):
+        if kind == "name" and tok != "ceil2":
+            if tok != self.var:
+                raise ParseError(f"unbound variable {tok!r}", self.offset(at), (repr(self.var),))
+            self.i += 1
+            return IVar(tok)
+        if tok not in ("ceil2", "("):
             self.fail(("integer", "variable", "'ceil2'", "'(-1)'", "'('"))
-        self.advance()
-        if tok.text == "(":
-            if not self.at("-"):
-                return self.nested(tok, self.parse_iexpr, ")")
+        self.i += 1
+        if tok == "(":
+            if self.t[self.i] != "-":
+                return self.nested(at, self.parse_iexpr, ")")
             # "(-1)^(...)" is the only construct that may open with "(-"
-            minus = self.advance()
-            if not self.at("1"):
-                raise ParseError("only (-1)^(...) may begin with '(-'", minus.offset)
-            self.advance()
+            self.i += 1
+            if self.t[self.i] != "1":
+                raise ParseError("only (-1)^(...) may begin with '(-'", self.offset(self.i - 1))
+            self.i += 1
             self.expect(")")
             self.expect("^")
         self.expect("(")
-        name = "ceil2" if tok.text == "ceil2" else "(-1)^"
-        return IFunc(name, self.nested(tok, self.parse_iexpr, ")"))
+        name = "ceil2" if tok == "ceil2" else "(-1)^"
+        return IFunc(name, self.nested(at, self.parse_iexpr, ")"))
 
 
 def parse(text: str) -> Expr:
     """Parse a series expression; raises ParseError with a byte offset."""
     parser = _Parser(text)
     node = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(
-            f"unexpected trailing {tok.text!r}", tok.offset, ("end of input",)
-        )
+    tok = parser.t[parser.i]
+    if tok:
+        raise ParseError(f"unexpected trailing {tok!r}", parser.offset(parser.i), ("end of input",))
     return node
 
 
@@ -901,11 +914,14 @@ class FunctionId(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> FunctionId:
-        for fid in cls:
-            if fid.value == name:
-                return fid
-        known = ", ".join(f.value for f in cls)
-        raise ValueError(f"unknown function {name!r}; known: {known}")
+        try:
+            return cls(name)
+        except ValueError:
+            known = ", ".join(f.value for f in cls)
+            raise ValueError(f"unknown function {name!r}; known: {known}") from None
+
+
+_FUNCTIONS = {fid.value: fid for fid in FunctionId}  # gf(f)'s names, for the parser
 
 
 # One product form per counting function, the text gf(f) stands for.

@@ -27,16 +27,22 @@ must equal its reference on every object.
 `reference_tokenize` is the identity language's old character-by-
 character lexer.  The one-pattern `dsl.tokenize` must give the same
 tokens, or the same ParseError message at the same offset.
+`reference_parse` is the old recursive-descent parser over its tokens,
+one (kind, text, offset) token read at a time through peek and advance.
+`dsl.parse`, which lexes in one pass and reads a list of token texts,
+must give the same tree, or a ParseError with the same message, offset
+and expected set.
 """
 
 import itertools
 import random
+from collections import namedtuple
 
 import pytest
 
 from podium import dsl, partitions, series
 from podium.series import Series, constant, q_power
-from podium.theta import theta_series
+from podium.theta import Domain, theta_series
 
 
 def reference_product(a: Series, b: Series) -> Series:
@@ -119,6 +125,9 @@ def outcome(evaluate, text: str, order: int):
         return type(exc), str(exc)
 
 
+Token = namedtuple("Token", "kind text offset")  # kind: "int" | "name" | "sym" | "end"
+
+
 def reference_tokenize(text: str) -> list:
     """One character at a time: ASCII digits make an int, a letter or "_"
     starts a name that runs over str.isalnum and "_", and only space, tab,
@@ -135,23 +144,233 @@ def reference_tokenize(text: str) -> list:
             j = i
             while j < n and text[j] in "0123456789":
                 j += 1
-            tokens.append(dsl.Token("int", text[i:j], i))
+            tokens.append(Token("int", text[i:j], i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(dsl.Token("name", text[i:j], i))
+            tokens.append(Token("name", text[i:j], i))
             i = j
             continue
         if ch in "+-*/^(){},;":
-            tokens.append(dsl.Token("sym", ch, i))
+            tokens.append(Token("sym", ch, i))
             i += 1
             continue
         raise dsl.ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(dsl.Token("end", "", n))
+    tokens.append(Token("end", "", n))
     return tokens
+
+
+class _ReferenceParser:
+    # `nesting` counts the levels still open, so deep text is refused on
+    # the way down, before the parser's own recursion is deep.  Tokens are
+    # matched by text alone: no two kinds of token share one.
+
+    def __init__(self, text: str):
+        self.tokens = reference_tokenize(text)
+        self.pos = 0
+        self.nesting = 0
+        self.var = ""  # the theta variable, while a theta body is parsed
+
+    def nested(self, tok, parse, close: str = ""):
+        if self.nesting == dsl.MAX_DEPTH:
+            raise dsl.ParseError(f"expression deeper than {dsl.MAX_DEPTH} levels", tok.offset)
+        self.nesting += 1
+        node = parse()
+        self.nesting -= 1
+        if close:
+            self.expect(close)
+        return node
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def at(self, *texts) -> bool:
+        return self.tokens[self.pos].text in texts
+
+    def fail(self, expected):
+        tok = self.peek()
+        got = repr(tok.text) if tok.kind != "end" else "end of input"
+        raise dsl.ParseError(f"unexpected {got}", tok.offset, expected)
+
+    def expect(self, text: str):
+        if not self.at(text):
+            self.fail((repr(text),))
+        return self.advance()
+
+    def sign(self) -> int:
+        if self.at("-"):
+            self.advance()
+            return -1
+        return 1
+
+    def expect_int(self, minimum: int = 0) -> int:
+        tok = self.peek()
+        if tok.kind != "int":
+            self.fail(("integer",))
+        try:
+            value = int(tok.text)
+        except ValueError:  # past the interpreter's limit on digits per int
+            raise dsl.ParseError("integer literal too long", tok.offset) from None
+        if value < minimum:
+            raise dsl.ParseError(f"integer must be >= {minimum}", tok.offset)
+        self.advance()
+        return value
+
+    def expect_q_power(self) -> int:
+        self.expect("q")
+        self.expect("^")
+        return self.expect_int(1)
+
+    def chain(self, operand, ops):
+        first = operand()
+        rest = []
+        while self.peek().text in ops:
+            op = self.advance().text
+            rest.append((op, ops[op]()))
+        if not rest:
+            return first
+        if isinstance(first, dsl.Chain) and first.rest[0][0] in ops:
+            return dsl.Chain(first.first, first.rest + tuple(rest))
+        return dsl.Chain(first, tuple(rest))
+
+    def parse_expr(self):
+        return self.chain(self.parse_term, {"+": self.parse_term, "-": self.parse_term})
+
+    def parse_term(self):
+        return self.chain(self.parse_factor, {"*": self.parse_factor, "/": self.parse_factor})
+
+    def parse_factor(self):
+        if self.at("-"):
+            return dsl.Neg(self.nested(self.advance(), self.parse_factor))
+        node = self.parse_base()
+        if self.at("^"):
+            self.advance()
+            node = dsl.Pow(node, self.sign() * self.expect_int())
+        return node
+
+    def parse_base(self):
+        tok = self.peek()
+        if tok.kind == "int":
+            return dsl.IntLit(self.expect_int())
+        if self.at("("):
+            return self.nested(self.advance(), self.parse_expr, ")")
+        if self.at("q"):
+            return dsl.QPow(self.expect_q_power())
+        if self.at("poch"):
+            return self.parse_poch()
+        if self.at("gf"):
+            return self.parse_gfref()
+        if self.at("subst"):
+            return self.parse_subst()
+        if self.at("theta"):
+            return self.parse_theta()
+        self.fail(("integer", "'q'", "'poch'", "'gf'", "'subst'", "'theta'", "'('", "'-'"))
+
+    def parse_poch(self):
+        self.expect("poch")
+        self.expect("(")
+        sign = self.sign()
+        a = self.expect_q_power()
+        self.expect(",")
+        b = self.expect_q_power()
+        self.expect(")")
+        return dsl.Poch(sign, a, b)
+
+    def parse_gfref(self):
+        self.expect("gf")
+        self.expect("(")
+        tok = self.peek()
+        if tok.kind != "name":
+            self.fail(("function name",))
+        try:
+            fid = dsl.FunctionId.from_name(tok.text)
+        except ValueError:
+            known = ", ".join(f.value for f in dsl.FunctionId)
+            raise dsl.ParseError(f"unknown gf name {tok.text!r}", tok.offset, (known,)) from None
+        self.advance()
+        self.expect(")")
+        return dsl.GfRef(fid)
+
+    def parse_subst(self):
+        tok = self.expect("subst")
+        self.expect("(")
+        child = self.nested(tok, self.parse_expr, ",")
+        sign = self.sign()
+        k = self.expect_q_power()
+        self.expect(")")
+        return dsl.Subst(child, k, sign)
+
+    def parse_theta(self):
+        theta = self.expect("theta")
+        self.expect("{")
+        tok = self.peek()
+        if tok.kind != "name":
+            self.fail(("variable name",))
+        var = self.advance().text
+        self.expect("in")
+        if not self.at("Z", "N"):
+            self.fail(("'Z'", "'N'"))
+        domain = Domain(self.advance().text)
+        self.expect("}")
+        self.expect("(")
+        self.var = var
+        weight = self.nested(theta, self.parse_iexpr, ";")
+        exponent = self.nested(theta, self.parse_iexpr, ")")
+        return dsl.Theta(domain, var, weight, exponent)
+
+    def parse_iexpr(self):
+        return self.chain(self.parse_iterm, {"+": self.parse_iterm, "-": self.parse_iterm})
+
+    def parse_iterm(self):
+        ops = {"*": self.parse_ifact, "div": lambda: dsl.IntLit(self.expect_int(1))}
+        return self.chain(self.parse_ifact, ops)
+
+    def parse_ifact(self):
+        tok = self.peek()
+        if tok.kind == "int":
+            return dsl.IntLit(self.expect_int())
+        if tok.kind == "name" and tok.text != "ceil2":
+            if tok.text != self.var:
+                raise dsl.ParseError(
+                    f"unbound variable {tok.text!r}", tok.offset, (repr(self.var),)
+                )
+            self.advance()
+            return dsl.IVar(tok.text)
+        if not self.at("ceil2", "("):
+            self.fail(("integer", "variable", "'ceil2'", "'(-1)'", "'('"))
+        self.advance()
+        if tok.text == "(":
+            if not self.at("-"):
+                return self.nested(tok, self.parse_iexpr, ")")
+            minus = self.advance()
+            if not self.at("1"):
+                raise dsl.ParseError("only (-1)^(...) may begin with '(-'", minus.offset)
+            self.advance()
+            self.expect(")")
+            self.expect("^")
+        self.expect("(")
+        name = "ceil2" if tok.text == "ceil2" else "(-1)^"
+        return dsl.IFunc(name, self.nested(tok, self.parse_iexpr, ")"))
+
+
+def reference_parse(text: str):
+    """Parse a series expression one token at a time; raises ParseError."""
+    parser = _ReferenceParser(text)
+    node = parser.parse_expr()
+    tok = parser.peek()
+    if tok.kind != "end":
+        raise dsl.ParseError(
+            f"unexpected trailing {tok.text!r}", tok.offset, ("end of input",)
+        )
+    return node
 
 
 def iter_objects(n, slots):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from podium.cli import main
 from podium.dsl import (
     MAX_DEPTH,
+    NAMED_THETA,
+    PRODUCT_FORMS,
     Chain,
     EvalError,
     GfRef,
@@ -30,12 +32,12 @@ from podium.dsl import (
     _ieval,
     _OnClass,
 )
-from podium.manifest import ManifestError, parse_manifest
+from podium.manifest import ManifestError, bundled_manifest, parse_manifest
 from podium.partitions import FunctionId
 from podium.series import Mismatch, Series, constant, pochhammer
 from podium.theta import DivergenceError, Domain
 
-from conftest import reference_evaluate, reference_tokenize
+from conftest import reference_evaluate, reference_parse, reference_tokenize
 
 
 def ceil_half(n):
@@ -130,6 +132,34 @@ class TestParseErrors:
         assert err.value.offset == 2
         assert "unexpected character" in str(err.value)
 
+    @pytest.mark.parametrize("text, offset", [
+        ("gf(\u00b2)", 3),
+        ("theta{\u0663 in Z}(1; n)", 6),
+        ("theta{n in Z}(1; n*\u00b2)", 19),
+        ("theta{n in Z}(1; \u0663 + n)", 17),
+    ])
+    def test_non_ascii_digit_where_a_name_or_integer_is_expected(self, text, offset):
+        # a digit outside ASCII is no token at all, so the error is the lexer's
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"unexpected character {text[offset]!r} at offset {offset}"
+        assert err.value.expected == ()
+
+    def test_bad_character_after_many_tokens(self):
+        with pytest.raises(ParseError) as err:
+            parse("poch(q^1, q^1) \u00a7 2")
+        assert str(err.value) == "unexpected character '\u00a7' at offset 15"
+        with pytest.raises(ParseError) as err:
+            parse("gf(pod) * " * 200 + "1 \x0b")
+        assert err.value.offset == 2002
+
+    def test_non_ascii_theta_variable(self):
+        text = "theta{\u00e9 in Z}(1; \u00e9*\u00e9)"
+        square = Chain(IVar("\u00e9"), (("*", IVar("\u00e9")),))
+        assert parse(text) == Theta(Domain.ALL_INTEGERS, "\u00e9", IntLit(1), square)
+        for order in (10, 100):
+            assert expand(text, order) == expand("theta{n in Z}(1; n*n)", order)
+
     @pytest.mark.parametrize(
         "text, offset, message",
         [
@@ -188,6 +218,61 @@ def test_tokenize_matches_the_character_loop(seed):
     for _ in range(2500):
         text = "".join(rng.choice(_LEX_ALPHABET) for _ in range(rng.randint(0, 12)))
         assert _lexed(tokenize, text) == _lexed(reference_tokenize, text), repr(text)
+
+
+def _parsed(parser, text):
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return str(exc), exc.offset, exc.expected
+
+
+_BUNDLED_SIDES = [side for rec in bundled_manifest() for side in (rec.lhs, rec.rhs)]
+
+# Whole tokens of both grammars, words and digits outside ASCII, and
+# whitespace the language does and does not skip, so random strings reach
+# every parser branch and the lexer's error paths.
+_PARSE_ALPHABET = (
+    "poch gf subst theta in Z N div ceil2 q n m pod p xyz _ 0 1 2 17 + - * / ^ ( ) { } , ;".split()
+    + ["(-1)^(", "q^1", "n*n", " ", " ", "\t", "\n", "\x0b", "\u00e9", "\u00b2", "\u0663", "\u00a7"]
+)
+
+
+def _random_texts(rng):
+    for _ in range(3000):
+        yield "".join(rng.choice(_PARSE_ALPHABET) for _ in range(rng.randint(0, 24)))
+
+
+def _edited_sides(rng):
+    for text in _BUNDLED_SIDES:
+        for _ in range(8):
+            at = rng.randrange(len(text))
+            yield text[:at]
+            yield text[:at] + text[at + 1 :]
+            yield text[:at] + rng.choice(" ()+-*/^,;{}qn0\u00b2\u00a7") + text[at:]
+
+
+def _named_texts(rng):
+    yield from PRODUCT_FORMS.values()
+    yield from NAMED_THETA.values()
+    yield from _BUNDLED_SIDES
+
+
+def _deep_texts(rng):
+    deepest = rng.randint(MAX_DEPTH + 2, 3 * MAX_DEPTH)
+    for depth in (MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1, deepest):
+        for build, _ in NESTING_SHAPES.values():
+            text = build(depth)
+            yield text
+            yield text[: rng.randrange(len(text))]
+
+
+@pytest.mark.parametrize("texts", [_random_texts, _edited_sides, _named_texts, _deep_texts],
+                         ids=["random-tokens", "bundled-edits", "named", "deep"])
+@pytest.mark.parametrize("seed", range(2))
+def test_parse_matches_the_reference_parser(texts, seed):
+    for text in texts(random.Random(seed)):
+        assert _parsed(parse, text) == _parsed(reference_parse, text), repr(text)
 
 
 class TestEvaluate:
