@@ -6,8 +6,8 @@
 #
 # It needs only python3 (3.10 or later) and coreutils, and it stops at the
 # first check that fails.  Slowest parts on a 2-core host: verify at order
-# 32000 (about 13 s) and the weighted oracle rows at their hard ceilings
-# (about 3 s each for eo, eobar and peo).
+# 32000 (about 6 s) and the peo oracle row at its hard ceiling (about
+# 1.35 s); the whole script takes about 15-19 s.
 set -eo pipefail
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -142,8 +142,8 @@ echo "5fbf76d00d45aab95c017c63a3e073a750d9dab1ebf1f35efda3c1b5951bdf69  $tmp/err
 echo "== check every enumeration oracle at its default cap, and the weighted rows at higher caps"
 PYTHONPATH=src python3 -m podium.cli oracle > "$tmp/oracle.txt"
 echo "80cc7a810a5479b6b83ee62f62ebc43dc985a4d7479a13e80b8e0239be0b433c  $tmp/oracle.txt" | sha256sum --check
-# every weighted row to its hard ceiling; eo, eobar and peo take about 2.2-2.9 s
-# each, the others 0.1-0.2 s (whole process, 2-core host, CPython 3.11)
+# every weighted row to its hard ceiling; peo takes about 1.35 s, eo 0.3 s and
+# the others 0.1-0.15 s each (whole process, 2-core host, CPython 3.11.7)
 for pin in opbar=30 opodd=30 eo=60 eobar=60 peo=60 qeo=60 afun=30; do
   PYTHONPATH=src python3 -m podium.cli oracle --function "${pin%=*}" --cap "${pin#*=}"
 done

@@ -34,7 +34,7 @@ print("compared against 1 up to order 400:", "agree" if mismatch is None else mi
 mismatch = check(parse("gf(pod)"), parse("gf(p)"), 50)
 print("\ngf(pod) versus gf(p):", mismatch)
 
-# Parse errors carry byte offsets and what would have been accepted.
+# Parse errors carry character offsets and what would have been accepted.
 try:
     parse("gf(pod")
 except ParseError as err:

@@ -31,8 +31,8 @@ that starts with no letter, such as "²".  The operators of one level,
 in a theta body too, make one flat Chain node read left to right;
 "div" is exact integer division and errors on any remainder, and
 "ceil2" is the mathematical ceiling of half.  Parse errors carry the
-byte offset of the offending token and the set of tokens that would
-have been accepted.
+character offset (a str index) of the offending token and the set of
+tokens that would have been accepted.
 
 A theta exponent must be, on each parity class n = 2m + r, a polynomial
 in m of degree at most 2 and not a falling quadratic, since the theta
@@ -116,7 +116,7 @@ MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
-    """Syntax error with the byte offset and the expected-token set."""
+    """Syntax error with the character offset and the expected-token set."""
 
     def __init__(self, message: str, offset: int, expected: Tuple[str, ...] = ()):
         self.offset = offset
@@ -454,7 +454,7 @@ class _Parser:
 
 
 def parse(text: str) -> Expr:
-    """Parse a series expression; raises ParseError with a byte offset."""
+    """Parse a series expression; raises ParseError with a character offset."""
     parser = _Parser(text)
     node = parser.parse_expr()
     tok = parser.t[parser.i]

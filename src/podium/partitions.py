@@ -18,21 +18,27 @@ text ``gf(f)`` both evaluate its one parse,
 No cache here holds the result; the eta memo of :mod:`podium.series`
 holds a whole eta quotient, bounded by its coefficients' bytes.
 
-The count comes from one depth-first walk per (function, limit) that
-visits every object of total <= limit exactly once, the classical
-one-object-per-step partition generation (Knuth, TAOCP vol. 4A,
-§7.2.1.4), and adds its weight at its own total.  An object is counted
-in its parent's loop, so a leaf, which cannot be extended, costs no call
-of its own; an unweighted rule's objects weigh 1 and are counted without
-building their parts.  The per-total table is cached, so checking
-f(0..cap) one n at a time costs a single walk.
+The count comes from one depth-first walk per (function, limit), the
+classical one-object-per-step partition generation (Knuth, TAOCP vol.
+4A, §7.2.1.4), that makes each object of total <= limit at most once
+and adds its weight at its own total.  An object is counted in its
+parent's loop, so a leaf, which cannot be extended, costs no call of its
+own; an unweighted rule's objects weigh 1 and are counted without
+building their parts.  A weight is a fold over an object's parts: the
+walk carries each object's state, takes one step to a child's state,
+and so does constant work per object.  When a prefix breaks a rule that
+no extension can mend (eo and eobar: parts come largest first, so an
+odd part after an even one stays wrong), its state is dead, and the walk
+makes none of its extensions.  The per-total table is cached, so
+checking f(0..cap) one n at a time costs a single walk.
 
 Each function's oracle is one row of data: a default cap and a hard
 ceiling past which it refuses to run, since enumeration is exponential
 in spirit (a refused call generates nothing); a rule giving the allowed
-part sizes with their multiplicity bound and colors; and a weight.  An
-object the function does not count weighs 0, and an overpartition weighs
-2^(number of distinct part values), one for each way to overline them.
+part sizes with their multiplicity bound and colors; and a weight step.
+An object the function does not count weighs 0, and an overpartition
+weighs 2^(number of distinct part values), one for each way to overline
+them.
 """
 
 from __future__ import annotations
@@ -76,60 +82,49 @@ Slots = list
 Parts = tuple  # tuple of (size, multiplicity), multiplicity >= 1
 
 
-def _weight_one(parts):
-    return 1
+# A weighted rule's weight is a fold over an object's parts, largest first
+# as the walk builds them: step(state, size, mult) is the state of the
+# object extended by `mult` parts of `size`, and every fold starts from the
+# state 1 of the empty object.  The state is the object's weight, or None
+# when the object and every extension of it weigh 0; the walk makes no
+# child of such an object.
 
 
-def _weight_alt_parts(parts):
-    odd = 0
-    for _, m in parts:
-        odd ^= m
-    return -1 if odd & 1 else 1
+def _step_alt_parts(sign, size, mult):
+    return -sign if mult & 1 else sign
 
 
-def _weight_alt_odd_parts(parts):
-    odd = 0
-    for s, m in parts:
-        if s & 1:
-            odd ^= m
-    return -1 if odd & 1 else 1
+def _step_alt_odd_parts(sign, size, mult):
+    return -sign if size & mult & 1 else sign
 
 
-def _weight_overlined(parts):
+def _step_overlined(ways, size, mult):
     # each distinct part value may or may not be overlined
-    return 1 << len(parts)
+    return ways << 1
 
 
-def _weight_eo(parts):
-    # every even part is below every odd part; parts come largest first, as
-    # the walk builds them, so no odd part may follow an even one
-    even = False
-    for s, _ in parts:
-        if not s & 1:
-            even = True
-        elif even:
-            return 0
-    return 1
+# eo and eobar weigh 1 while alive.  Their state is 1 until an even part
+# comes, and True after it: equal as weights, told apart by identity.
 
 
-def _weight_eobar(parts):
+def _step_eo(even, size, mult):
+    # every even part is below every odd part, so no odd part may follow
+    # an even one
+    if size & 1:
+        return None if even is True else 1
+    return True
+
+
+def _step_eobar(even, size, mult):
     # Only the largest even part may (and, when present, must) appear an
     # odd number of times; with no even part every multiplicity is even.
-    # Parts come largest first, so the first even part met is the largest,
-    # and there is one color, so no part size appears twice.
-    even = False
-    for s, m in parts:
-        if s & 1:
-            if even or m & 1:
-                return 0
-        elif even:
-            if m & 1:
-                return 0
-        elif m & 1:
-            even = True
-        else:
-            return 0
-    return 1
+    # There is one color, so no part size appears twice, and the first
+    # even part met is the largest.
+    if size & 1:
+        return None if even is True or mult & 1 else 1
+    if even is True:
+        return None if mult & 1 else True
+    return True if mult & 1 else None
 
 
 class _Rule(Value):
@@ -140,14 +135,15 @@ class _Rule(Value):
     accidental exponential blowup even when a caller overrides the cap.
     `part(v)` gives (max multiplicity or None, colors) for an allowed part
     size v, else None; by default every size is allowed, uncolored and
-    unbounded.  `weight(parts)` is what an object, its (size,
-    multiplicity) pairs largest first, adds to the count at its total (1
-    by default): a sign, 0 for an object the function does not count, or
-    the number of its overlinings.
+    unbounded.  `step` takes an object's state to a child's (see the step
+    functions above), and `weight(parts)`, the fold of the step over an
+    object's parts, is what the object counts: a sign, 0 for an object
+    the function does not count, or the number of its overlinings.  With
+    no step (the default) every object weighs 1.
     """
 
-    __slots__ = ("cap", "ceiling", "part", "weight")
-    _defaults = {"part": lambda v: (None, 1), "weight": _weight_one}
+    __slots__ = ("cap", "ceiling", "part", "step")
+    _defaults = {"part": lambda v: (None, 1), "step": None}
 
     def slots(self, n: int) -> Slots:
         """The slots of every allowed part size up to n, largest first."""
@@ -159,8 +155,19 @@ class _Rule(Value):
                 out.extend([(v, most)] * colors)
         return out
 
+    def weight(self, parts: Parts) -> int:
+        """What an object, its (size, multiplicity) pairs largest first,
+        adds to the count at its total: the fold of `step` over its parts."""
+        state = 1
+        if self.step is not None:
+            for size, mult in parts:
+                state = self.step(state, size, mult)
+                if state is None:
+                    return 0
+        return int(state)
 
-# One row per function: default cap, hard ceiling, part rule and weight.
+
+# One row per function: default cap, hard ceiling, part rule and weight step.
 # DEFAULT_CAPS and HARD_CAPS read the rows.
 _RULES = {
     FunctionId.P: _Rule(35, 60),
@@ -168,14 +175,14 @@ _RULES = {
     FunctionId.PED: _Rule(35, 60, lambda v: (None if v % 2 else 1, 1)),
     FunctionId.QDIST: _Rule(35, 60, lambda v: (1, 1)),
     FunctionId.QODD: _Rule(35, 60, lambda v: (1, 1) if v % 2 else None),
-    FunctionId.PEO: _Rule(35, 60, weight=_weight_alt_parts),
-    FunctionId.QEO: _Rule(35, 60, lambda v: (1, 1), weight=_weight_alt_odd_parts),
+    FunctionId.PEO: _Rule(35, 60, step=_step_alt_parts),
+    FunctionId.QEO: _Rule(35, 60, lambda v: (1, 1), step=_step_alt_odd_parts),
     FunctionId.P2MOD4: _Rule(35, 60, lambda v: (None, 1) if v % 4 == 2 else None),
-    FunctionId.EO: _Rule(35, 60, weight=_weight_eo),
-    FunctionId.EOBAR: _Rule(35, 60, weight=_weight_eobar),
-    FunctionId.OPBAR: _Rule(22, 30, weight=_weight_overlined),
-    FunctionId.OPODD: _Rule(22, 30, lambda v: (None, 1) if v % 2 else None, weight=_weight_overlined),
-    FunctionId.AFUN: _Rule(22, 30, lambda v: (None, 1 if v % 2 else 2), weight=_weight_alt_parts),
+    FunctionId.EO: _Rule(35, 60, step=_step_eo),
+    FunctionId.EOBAR: _Rule(35, 60, step=_step_eobar),
+    FunctionId.OPBAR: _Rule(22, 30, step=_step_overlined),
+    FunctionId.OPODD: _Rule(22, 30, lambda v: (None, 1) if v % 2 else None, step=_step_overlined),
+    FunctionId.AFUN: _Rule(22, 30, lambda v: (None, 1 if v % 2 else 2), step=_step_alt_parts),
     FunctionId.CUBIC: _Rule(22, 30, lambda v: (None, 1 if v % 2 else 2)),
     FunctionId.QODD3: _Rule(22, 30, lambda v: (1, 3) if v % 2 else None),
     FunctionId.P3: _Rule(18, 24, lambda v: (None, 3)),
@@ -187,22 +194,24 @@ HARD_CAPS = {fid: rule.ceiling for fid, rule in _RULES.items()}
 
 @lru_cache(maxsize=64)
 def _enumeration_table(fid: FunctionId, limit: int) -> tuple:
-    """Signed counts f(0..limit) from one depth-first walk over every object.
+    """Signed counts f(0..limit) from one depth-first walk over the objects.
 
     The walk extends each object by one more slot past the last one it
     uses, and the loop starts at the first slot whose size still fits, so
-    every step makes a new object and no branch is a dead end.  Each
+    every extension it tries fits and no branch is a dead end.  Each
     object's weight is added at its own total in its parent's loop; a
     child that cannot be extended (it used the last slot, or less than the
     smallest slot size is left) is a leaf and starts no call of its own.
     Objects of an unweighted rule weigh 1, so they are counted without
-    building their parts.
+    building their parts.  A weighted rule's child takes one step from its
+    parent's state, and a dead child (state None) is neither counted nor
+    extended, so nothing under it is made.
     """
     rule = _RULES[fid]
     slots = rule.slots(limit)
     # first_fit[r]: index of the first slot of size <= r (sizes descend)
     first_fit = [sum(1 for size, _ in slots if size > r) for r in range(limit + 1)]
-    weight = rule.weight
+    step = rule.step
     counts = [0] * (limit + 1)
     n_slots = len(slots)
     # a child at a total past `deep` has less left than the smallest slot size
@@ -222,7 +231,7 @@ def _enumeration_table(fid: FunctionId, limit: int) -> tuple:
                 if at <= grow:
                     count(i + 1, at)
 
-    def visit(parts: Parts, start: int, total: int):
+    def visit(state, start: int, total: int):
         remaining = limit - total
         first = first_fit[remaining]
         for i in range(start if start > first else first, n_slots):
@@ -234,16 +243,17 @@ def _enumeration_table(fid: FunctionId, limit: int) -> tuple:
             at = total
             for mult in range(1, top + 1):
                 at += size
-                child = parts + ((size, mult),)
-                counts[at] += weight(child)
-                if at <= grow:
-                    visit(child, i + 1, at)
+                child = step(state, size, mult)
+                if child is not None:
+                    counts[at] += child
+                    if at <= grow:
+                        visit(child, i + 1, at)
 
-    counts[0] = weight(())
-    if weight is _weight_one:
+    counts[0] = rule.weight(())
+    if step is None:
         count(0, 0)
     else:
-        visit((), 0, 0)
+        visit(1, 0, 0)
     return tuple(counts)
 
 

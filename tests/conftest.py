@@ -21,8 +21,9 @@ the plain definitions, built from lists and sets: a sign from the parity
 of a part count, the even-below-odd test of eo and eobar, and for an
 overpartition (opbar, opodd) one count per way to overline its distinct
 part values, one choice at a time.  The single walk behind
-`count_by_enumeration` must equal it, and each rule's single-pass weight
-must equal its reference on every object.
+`count_by_enumeration` must equal it, and each rule's weight, the fold
+of its step over an object's parts, must equal its reference on every
+object.
 
 `reference_tokenize` is the identity language's old character-by-
 character lexer.  The one-pattern `dsl.tokenize` must give the same

@@ -161,6 +161,6 @@ def test_criterion_8_dsl_round_trip():
         8,
         ok,
         f"round trip over {2 * len(bundled_manifest())} manifest expressions; "
-        "parse errors carry byte offsets"
+        "parse errors carry character offsets"
         + (f"; failures: {bad_round_trips}" if bad_round_trips else ""),
     )

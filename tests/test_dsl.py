@@ -103,6 +103,14 @@ class TestParseErrors:
             parse("theta{n in Z}(1; m*m)")
         assert err.value.offset == 17
 
+    def test_offset_counts_characters_not_bytes(self):
+        # "m" is character 17 of the text but byte 18 of its UTF-8 encoding
+        text = "theta{\u00e9 in Z}(1; m)"
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.offset == 17 and text[17] == "m"
+        assert text.encode().index(b"m") == 18
+
     def test_theta_variable_must_be_a_name(self):
         with pytest.raises(ParseError) as err:
             parse("theta{1 in N}(1; n)")

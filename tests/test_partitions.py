@@ -13,6 +13,9 @@ from podium.partitions import (
 )
 
 SIGNED = {FunctionId.PEO, FunctionId.QEO, FunctionId.AFUN}
+WEIGHTED = [fid for fid, rule in partitions._RULES.items() if rule.step is not None]
+# for these, once a prefix weighs 0 every extension of it does too
+PRUNED = {FunctionId.EO, FunctionId.EOBAR}
 
 
 class TestNames:
@@ -81,9 +84,13 @@ class TestOracleEquivalence:
         for n in range(cap + 1):
             assert count_by_enumeration(fid, n, cap=cap) == series[n], (fid, n)
 
-    @pytest.mark.parametrize("fid", [FunctionId.OPBAR, FunctionId.OPODD], ids=lambda f: f.value)
+    @pytest.mark.parametrize(
+        "fid", [FunctionId.OPBAR, FunctionId.OPODD, FunctionId.EO, FunctionId.EOBAR],
+        ids=lambda f: f.value,
+    )
     def test_overpartitions_to_the_hard_ceiling(self, fid):
-        # the overlining weight 2^(distinct parts) is largest at the ceiling
+        # the overlining weight 2^(distinct parts) is largest at the ceiling;
+        # eo and eobar are cheap there only because a dead prefix is pruned
         cap = HARD_CAPS[fid]
         got = [count_by_enumeration(fid, n, cap=cap) for n in range(cap + 1)]
         assert got == table(fid, cap)
@@ -113,6 +120,34 @@ class TestWalkMatchesReference:
         limit = 12 if fid is FunctionId.P3 else 20
         objects = [parts for n in range(limit + 1) for parts in iter_objects(n, rule.slots(limit))]
         assert [rule.weight(parts) for parts in objects] == [reference(parts) for parts in objects]
+
+    def test_weighted_rows(self):
+        names = "peo qeo eo eobar opbar opodd afun"
+        assert WEIGHTED == [FunctionId.from_name(name) for name in names.split()]
+
+    @pytest.mark.parametrize("fid", WEIGHTED, ids=lambda f: f.value)
+    def test_one_step_per_object_made(self, fid, monkeypatch):
+        # The walk makes an object by one step from its parent's state, and
+        # makes none whose proper prefix weighs 0 (the empty prefix weighs 1
+        # and is made by no step).
+        rule = partitions._RULES[fid]
+        steps = 0
+
+        def step(state, size, mult):
+            nonlocal steps
+            steps += 1
+            return rule.step(state, size, mult)
+
+        counting = partitions._Rule(rule.cap, rule.ceiling, rule.part, step)
+        monkeypatch.setitem(partitions._RULES, fid, counting)
+        limit = small_cap(fid)
+        got = partitions._enumeration_table.__wrapped__(fid, limit)
+        assert list(got) == [reference_count(fid, n) for n in range(limit + 1)]
+        reference = reference_weight(fid)
+        objects = [parts for n in range(1, limit + 1) for parts in iter_objects(n, rule.slots(limit))]
+        made = [parts for parts in objects if all(reference(parts[:k]) for k in range(len(parts)))]
+        assert steps == len(made)
+        assert (len(made) < len(objects)) == (fid in PRUNED)
 
     def test_override_cap(self):
         cap = DEFAULT_CAPS[FunctionId.QODD] + 3

@@ -20,7 +20,7 @@ import pytest
 import podium
 from podium.dsl import Chain, GfRef, IFunc, IntLit, IVar, Neg, Poch, Pow, QPow, Subst, Theta
 from podium.manifest import IdentityRecord, SuiteEntry, SuiteReport
-from podium.partitions import _RULES, FunctionId, _Rule, _weight_one
+from podium.partitions import _RULES, FunctionId, _Rule
 from podium._value import Value
 from podium.series import Mismatch, Series
 from podium.theta import Domain
@@ -30,8 +30,8 @@ def _part(v):
     return (1, 2) if v % 2 else None
 
 
-def _weight(parts):
-    return -1
+def _step(state, size, mult):
+    return -state
 
 
 _ENTRY = SuiteEntry("p-id", "pass", 300, 0.25, "", "Andrews")
@@ -73,8 +73,8 @@ CASES = [
         "seconds=0.25, detail='', anchor='Andrews'),))",
     ),
     (
-        _Rule(22, 30, _part, _weight),
-        f"_Rule(cap=22, ceiling=30, part={_part!r}, weight={_weight!r})",
+        _Rule(22, 30, _part, _step),
+        f"_Rule(cap=22, ceiling=30, part={_part!r}, step={_step!r})",
     ),
     (Mismatch(4, 1, 2), "Mismatch(index=4, left=1, right=2)"),
     (Series([1, 2]), "Series([1, 2], order=1)"),
@@ -212,12 +212,13 @@ class TestDefaults:
     def test_rule(self):
         rule = _Rule(35, 60)
         assert rule.part(7) == (None, 1)
-        assert rule.weight is _weight_one
+        assert rule.step is None and rule.weight(((7, 2),)) == 1
         # a middle default skipped by keyword
-        skipped = _Rule(22, 30, weight=_weight)
-        assert skipped.part is rule.part and skipped.weight is _weight
-        assert skipped == _Rule(22, 30, rule.part, _weight)
-        assert _Rule.__slots__ == ("cap", "ceiling", "part", "weight")
+        skipped = _Rule(22, 30, step=_step)
+        assert skipped.part is rule.part and skipped.step is _step
+        assert skipped == _Rule(22, 30, rule.part, _step)
+        assert skipped.weight(((3, 1), (1, 2))) == 1 and skipped.weight(((1, 1),)) == -1
+        assert _Rule.__slots__ == ("cap", "ceiling", "part", "step")
         assert _RULES[FunctionId.P] == rule
 
 
