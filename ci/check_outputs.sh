@@ -6,20 +6,22 @@
 #
 # It needs only python3 (3.10 or later) and coreutils, and it stops at the
 # first check that fails.  Slowest parts on a 2-core host: verify at order
-# 32000 (about 6 s) and the peo oracle row at its hard ceiling (about
-# 1.35 s); the whole script takes about 15-19 s.
+# 100000 (about 42-47 s), verify at 32000 (about 6 s) and the peo oracle
+# row at its hard ceiling (about 1.35 s); the whole script takes about
+# 60-70 s.
 set -eo pipefail
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-echo "== verify the bundled identities at orders 300 to 32000, and the bundled file read through --manifest at 300"
+echo "== verify the bundled identities at orders 300 to 100000 (MAX_ORDER), and the bundled file read through --manifest at 300"
 for pin in \
     300=2fd3368c5ec4a48fc6881e02fe15dcacf0e16fdc835877f981cb3cda6247c88a \
     1000=fa9015f045011ff37354b94d1ad1865d24fe744744ea0c68bd77010a87ddae47 \
     2000=ce3ee83318fcc089e7eab9d21f89e35976c62c79d13f50ceb52c281e8a314f90 \
     4000=64d5dd33b53158a2bd06d17286c9eb55ad565080a7b5a73694fc37150cd59e61 \
     8000=6386de77662656ea5bc4306e67af3b957d9c020321449abbf8a40f5e3cb7c6e0 \
-    32000=f9a3f03727b4ef3170780b74c8ae92d303b761e992e31946b1258c02a4c572de; do
+    32000=f9a3f03727b4ef3170780b74c8ae92d303b761e992e31946b1258c02a4c572de \
+    100000=e9cc386133e2b82f338ea418073bdb9c4f031f0ed682c07a1a75174a6344b339; do
   order=${pin%=*}
   PYTHONPATH=src python3 -m podium.cli verify --order "$order" > "$tmp/verify-$order.txt"
   echo "${pin#*=}  $tmp/verify-$order.txt" | sha256sum --check

@@ -30,6 +30,7 @@ from .manifest import (
     run_suite,
 )
 from .partitions import gf_series, table
+from .series import _ETA_MEMO, pochhammer
 
 FALLBACK_ORDER = 300
 
@@ -144,11 +145,16 @@ def _bench_run(order: int) -> dict:
     """Time the pod build, one pod*pod product and the bundled suite.
 
     The caller loads the bundled manifest first, so verify_ms is the
-    suite's checks alone.  The build leaves pod's expansion in the eta
-    memo of podium.series, where the suite finds it; a record's seconds
+    suite's checks alone.  Each order starts cold: the eta memo of
+    podium.series and pochhammer's cache are emptied first, since an
+    expansion at one order answers every lower one, and an order run
+    before would leave its work there.  The build then leaves pod's
+    expansion in the memo, where the suite finds it; a record's seconds
     include only the eta passes it runs, not the expansions or plan
     prefixes it finds in the memo.
     """
+    _ETA_MEMO.clear()
+    pochhammer.cache_clear()
     pod, build_ms = _timed_ms(lambda: gf_series(FunctionId.POD, order))
     product, mul_ms = _timed_ms(lambda: pod * pod)
     report, verify_ms = _timed_ms(lambda: run_suite(order=order))

@@ -847,10 +847,11 @@ def evaluate(node: Expr, order: int) -> Series:
 
     gf(f) is its product form, evaluated here like any other text; it
     has no cache of its own.  A whole eta quotient is expanded on a base
-    of 1 by series.eta_quotient, whose memo keeps it by order and plan,
-    bounded by series.ETA_MEMO_BYTES: the bundled manifest's sides use 27
-    vectors per order, and a vector that another side has expanded, or a
-    plan prefix of it, is not expanded again.
+    of 1 by series.eta_quotient, whose memo keeps one entry per plan at
+    the highest order expanded, bounded by series.ETA_MEMO_BYTES: the
+    bundled manifest's sides use 27 vectors, at any number of orders, and
+    a vector that another side has expanded at this order or a higher
+    one, or a plan prefix of it, is not expanded again.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")

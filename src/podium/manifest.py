@@ -174,8 +174,9 @@ class SuiteEntry(Value):
     where) or "error" (the check raised; `detail` is its message).
     `seconds` is the check's own wall time.  Sides that share an eta
     quotient, or a prefix of its plan, share its expansion in the eta memo
-    of podium.series (see series.eta_quotient): the record that expands it
-    is charged, and a later one that finds it is not.
+    of podium.series (see series.eta_quotient), which answers its order
+    and every lower one: the record that expands it is charged, and a
+    later one that finds it, at the same order or a lower one, is not.
     """
 
     __slots__ = ("name", "status", "order", "seconds", "detail", "anchor")

@@ -40,11 +40,14 @@ multiplies, then row divides, so on a base of 1 the first pass meets a
 constant: a Miller pass's product is then a scale, and a row multiply
 on a base of few terms goes term by term, in O(terms sqrt(N/b)).
 
-What a plan expands on a base of 1 is kept in one memo, keyed on the
-order and the plan, and bounded by its coefficients' bytes
-(ETA_MEMO_BYTES).  A plan starts from its longest prefix that is stored,
-so gf(cubic), Euler's row divided out at strides 1 and 2, runs one
-division after gf(p) has run the first.
+What a plan expands on a base of 1 is kept in one memo, one entry per
+plan at the highest order expanded, and bounded by its coefficients'
+bytes (ETA_MEMO_BYTES).  Each pass finds coefficient n from coefficients
+0..n, so an expansion at order N, truncated, is the expansion at any
+lower order, bit for bit.  A plan starts from its longest prefix stored
+at its order or above, so gf(cubic), Euler's row divided out at strides
+1 and 2, runs one division after gf(p) has run the first, and gf(pod) at
+order 300 runs no pass after gf(pod) at 1000.
 """
 
 from __future__ import annotations
@@ -605,41 +608,52 @@ def _eta_power(a: int, limit: int) -> list:
     return g
 
 
-# eta_quotient keeps what it expands on a base of 1 (_EtaMemo), and drops
-# its least recently used entries while their coefficients take more than
-# this many bytes.  The bundled suite's 26 entries take 50 MiB at order
-# 32000, so the suite drops none there; at higher orders the bound, not
-# the number of vectors, caps the memory the memo holds.
+# eta_quotient keeps what it expands on a base of 1 (_EtaMemo), one entry
+# per plan at the highest order expanded, and drops its least recently
+# used entries while their coefficients take more than this many bytes.
+# The bundled suite's 27 entries take 52 MiB at order 32000, so the suite
+# drops none there; at higher orders the bound, not the number of
+# vectors, caps the memory the memo holds.
 ETA_MEMO_BYTES = 64 << 20
 
 
 class _EtaMemo:
-    """Expansions on a base of 1, keyed on (order, whole plan), least
-    recently used first.  An entry is the Series returned and its bytes,
-    the coefficient tuple's and its ints' as sys.getsizeof counts them,
-    and the entries take at most ETA_MEMO_BYTES in all."""
+    """Expansions on a base of 1, one per plan, least recently used first.
+
+    Every pass finds its coefficient n from coefficients 0..n alone, so
+    an expansion at order N holds the same plan's expansion at every
+    order M <= N as its first M + 1 coefficients (Knuth, TAOCP vol. 2,
+    §4.7): an entry is keyed on the plan, not the order, and keeps the
+    highest order expanded.  An entry is the Series returned and its
+    bytes, the coefficient tuple's and its ints' as sys.getsizeof counts
+    them, and the entries take at most ETA_MEMO_BYTES in all."""
 
     def __init__(self):
-        self.entries = OrderedDict()  # (order, plan) -> (Series, bytes)
+        self.entries = OrderedDict()  # plan -> (Series, bytes)
         self.bytes = 0
 
     def longest_prefix(self, order: int, plan: tuple):
-        """(i, series) for the longest plan[:i], i >= 1, that is stored,
-        marked as just used, or (0, None)."""
+        """(i, series) for the longest plan[:i], i >= 1, that is stored at
+        `order` or above, marked as just used, with the stored Series
+        itself at `order` and truncated to `order` above it; or (0, None)."""
         for i in range(len(plan), 0, -1):
-            key = (order, plan[:i])
-            if key in self.entries:
+            key = plan[:i]
+            value, _ = self.entries.get(key, (None, 0))
+            if value is not None and value.order >= order:
                 self.entries.move_to_end(key)
-                return i, self.entries[key][0]
+                return i, value if value.order == order else value.truncate(order)
         return 0, None
 
-    def store(self, order: int, plan: tuple, value: Series) -> None:
+    def store(self, plan: tuple, value: Series) -> None:
+        """Keep `value` as the plan's entry, in place of any entry it
+        has at a lower order."""
         # an int is not tracked by the collector, so its __sizeof__ is its
         # getsizeof, and a seventh of the cost over 1000 coefficients
         size = sys.getsizeof(value.coeffs) + sum(map(int.__sizeof__, value.coeffs))
         if size > ETA_MEMO_BYTES:
             return
-        self.entries[order, plan] = value, size
+        self.bytes -= self.entries.pop(plan, (None, 0))[1]
+        self.entries[plan] = value, size
         self.bytes += size
         while self.bytes > ETA_MEMO_BYTES:
             self.bytes -= self.entries.popitem(last=False)[1][1]
@@ -673,13 +687,16 @@ def eta_quotient(etas: dict, order: int, base: Optional[Series] = None) -> Serie
     than those kernels alone, and none runs a loop |a_b| times past
     |a_b| = 3.
 
-    With no base the plan resumes from its longest prefix in the memo
-    (_EtaMemo), runs only the passes after it, and stores the whole
-    plan's result; a plan stored whole returns the stored Series itself,
-    so gf(pod) and poch(-q^1, q^2) / poch(q^2, q^2) are one object, and
-    a hit builds no series.  Series are immutable, so a hit is
-    bit-identical.  A given base, which must be at `order`, is never
-    looked up or stored.
+    With no base the plan resumes from its longest prefix stored in the
+    memo (_EtaMemo) at `order` or above, truncated to `order`, runs only
+    the passes after it, and stores the whole plan's result in place of
+    any lower order's.  A plan stored whole at `order` returns the stored
+    Series itself, so gf(pod) and poch(-q^1, q^2) / poch(q^2, q^2) are
+    one object, and such a hit builds no series; stored at a higher
+    order, it returns the stored Series truncated, and runs no pass.
+    Series are immutable and each pass finds coefficient n from
+    coefficients 0..n, so a hit is bit-identical to a cold expansion.  A
+    given base, which must be at `order`, is never looked up or stored.
     """
     for b, a in etas.items():
         if not isinstance(b, int):
@@ -710,7 +727,7 @@ def eta_quotient(etas: dict, order: int, base: Optional[Series] = None) -> Serie
             c = (_times if a > 0 else _divide)(c, k, [b * e for e in plus], [b * e for e in minus])
     value = Series(c)
     if one:
-        _ETA_MEMO.store(order, plan, value)
+        _ETA_MEMO.store(plan, value)
     return value
 
 

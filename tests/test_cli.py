@@ -9,7 +9,7 @@ from importlib import resources
 
 import pytest
 
-from podium import cli, manifest
+from podium import cli, manifest, series
 from podium.cli import main
 
 
@@ -323,6 +323,27 @@ class TestBench:
         assert events[first - 1] == ("clock", 1)
         assert events[0] == ("clock", 0)  # manifest_ms starts before the load
         assert json.loads(path.read_text())["manifest_ms"] > 0
+
+    @pytest.mark.parametrize("orders", [[300, 300], [1000, 300]])
+    def test_every_order_builds_pod_cold(self, capsys, monkeypatch, orders):
+        # pod's build at order N is one division of N + 1 coefficients,
+        # run again at each order, a repeated or a lower one too
+        events = []
+        divide = series._divide
+        monkeypatch.setattr(series, "_divide", lambda c, *row: events.append(len(c)) or divide(c, *row))
+        build = cli.gf_series
+
+        def built(fid, order):
+            events.append("pod")
+            value = build(fid, order)
+            events.append("built")
+            return value
+
+        monkeypatch.setattr(cli, "gf_series", built)
+        code, _, _ = run(capsys, "bench", "--order", *map(str, orders))
+        assert code == 0
+        starts = [i for i, event in enumerate(events) if event == "pod"]
+        assert [events[i + 1 : i + 3] for i in starts] == [[order + 1, "built"] for order in orders]
 
     # Recorded before the series kernels were replaced; any change to the
     # arithmetic that moves a single coefficient moves these hashes.

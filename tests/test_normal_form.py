@@ -9,6 +9,7 @@ coefficients, or the same exception with the same message.
 import itertools
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -387,9 +388,10 @@ class TestLayerCalls:
 
 @pytest.fixture
 def passes(monkeypatch):
-    """The names of the row passes run, "_times" or "_divide", in order."""
+    """The names of the passes run, in order: the row passes "_times" and
+    "_divide", and "_eta_power" for a Miller pass."""
     seen = []
-    for name in ("_times", "_divide"):
+    for name in ("_times", "_divide", "_eta_power"):
         kernel = getattr(series, name)
         monkeypatch.setattr(
             series, name, lambda *row, name=name, kernel=kernel: seen.append(name) or kernel(*row))
@@ -398,8 +400,9 @@ def passes(monkeypatch):
 
 @pytest.mark.usefixtures("cold_memo")
 class TestMemo:
-    """eta_quotient on a base of 1 keeps each whole plan's expansion, per
-    order, and resumes a plan from its longest stored prefix."""
+    """eta_quotient on a base of 1 keeps each whole plan's expansion at the
+    highest order asked, answers any order up to it, and resumes a plan
+    from its longest prefix stored at its order or above."""
 
     @pytest.mark.parametrize("order", [NEWTON_BASE, 300])
     def test_warm_memo_equals_the_tree_walk(self, order, cold_memo):
@@ -435,11 +438,82 @@ class TestMemo:
         assert evaluate(node, 1000) is first
         assert sizes == []
 
-    def test_each_order_has_its_own_entry(self, cold_memo):
+    def test_each_order_has_its_own_entry(self, cold_memo, passes):
+        # one entry per plan: order 41 replaces order 40's, and holds it
         node = parse("gf(pod)")
         for order in (40, 41):
             assert evaluate(node, order) == reference_evaluate(node, order)
-        assert sorted(order for order, _ in cold_memo.entries) == [40, 41]
+        assert [value.order for value, _ in cold_memo.entries.values()] == [41]
+        passes.clear()
+        got = evaluate(node, 40)
+        assert passes == []
+        cold_memo.clear()
+        assert got == evaluate(node, 40)
+
+    def test_a_lower_order_runs_no_pass(self, cold_memo, passes):
+        # a Miller pass, a product by phi(q) and a division by psi(-q), then none
+        node = parse("poch(q^1, q^1)^9 * gf(pod) * theta{n in Z}(1; n*n)")
+        evaluate(node, 300)
+        assert passes == ["_eta_power", "_times", "_divide"]
+        passes.clear()
+        for order in (300, 299, 120, NEWTON_BASE):
+            assert evaluate(node, order) == reference_evaluate(node, order)
+        assert passes == []
+
+    def test_a_prefix_at_a_higher_order_resumes_a_longer_plan(self, passes):
+        # gf(p)'s one division at order 1000 is the first of gf(cubic)'s at 300
+        evaluate(parse("gf(p)"), 1000)
+        assert passes == ["_divide"]
+        got = evaluate(parse("gf(cubic)"), 300)
+        assert passes == ["_divide", "_divide"]
+        assert got == reference_evaluate(parse("gf(cubic)"), 300)
+        # and gf(cubic)'s entry at 300 does not serve order 301
+        evaluate(parse("gf(cubic)"), 301)
+        assert passes == ["_divide", "_divide", "_divide"]
+
+    def test_a_replacement_keeps_the_byte_count(self, cold_memo, monkeypatch):
+        def size(value):
+            return sys.getsizeof(value.coeffs) + sum(map(int.__sizeof__, value.coeffs))
+
+        steps = (("gf(pod)", 40), ("gf(p)", 300), ("gf(pod)", 300))
+        for text, order in steps:
+            evaluate(parse(text), order)
+        p, pod = evaluate(parse("gf(p)"), 300), evaluate(parse("gf(pod)"), 300)
+        # the replacement is the most recently used entry
+        assert [value for value, _ in cold_memo.entries.values()] == [p, pod]
+        assert cold_memo.bytes == size(p) + size(pod) == sum(size for _, size in cold_memo.entries.values())
+        # room for both at 300 but one byte less: pod's replacement drops p
+        monkeypatch.setattr(series, "ETA_MEMO_BYTES", size(p) + size(pod) - 1)
+        cold_memo.clear()
+        for text, order in steps:
+            evaluate(parse(text), order)
+            assert cold_memo.bytes <= series.ETA_MEMO_BYTES
+            assert cold_memo.bytes == sum(size for _, size in cold_memo.entries.values())
+        assert [value for value, _ in cold_memo.entries.values()] == [pod]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_any_order_sequence_equals_a_cold_expansion(self, seed, cold_memo):
+        # each vector at random, then descending, then repeated orders,
+        # the vectors interleaved and often sharing a plan prefix
+        rng = random.Random(seed)
+        vectors = [{rng.randint(1, 12): rng.randint(-7, 7) for _ in range(rng.randint(1, 3))} for _ in range(5)]
+        orders = [rng.randint(0, 200) for _ in range(10)]
+        orders += sorted(orders, reverse=True) + [orders[0]] * 3
+        calls = [(vector, order) for order in orders for vector in rng.sample(vectors, len(vectors))]
+        cold = []
+        for vector, order in calls:
+            cold_memo.clear()
+            cold.append(series.eta_quotient(vector, order))
+        cold_memo.clear()
+        for (vector, order), expected in zip(calls, cold):
+            got = series.eta_quotient(vector, order)
+            assert got == expected, (vector, order)
+            assert cold_memo.bytes <= series.ETA_MEMO_BYTES
+            assert cold_memo.bytes == sum(size for _, size in cold_memo.entries.values())
+            if order <= 90:
+                text = "1" + "".join(f" {'*' if a > 0 else '/'} poch(q^{b}, q^{b})^{abs(a)}"
+                                     for b, a in vector.items() if a)
+                assert got == reference_evaluate(parse(text), order), (vector, order)
 
     def test_equal_vector_record_expands_once(self, passes):
         # both sides are pod's vector: one division by psi(-q), then a hit

@@ -199,5 +199,5 @@ class TestSeriesShape:
         assert pod.reduce_mod(2) == cubic.reduce_mod(2)
         assert pod.reduce_mod(2) == qodd3.reduce_mod(2)
 
-    def test_gf_series_returns_the_eta_memos_object(self):
+    def test_gf_series_returns_the_eta_memos_object(self, cold_memo):
         assert gf_series(FunctionId.POD, 50) is gf_series(FunctionId.POD, 50)
